@@ -128,7 +128,9 @@ func run() error {
 				return err
 			}
 			defer f.Close()
-			rep.CSV(f)
+			if err := rep.CSV(f); err != nil {
+				return err
+			}
 		}
 		if *jsonPath != "" {
 			f, err := os.Create(*jsonPath)
@@ -173,7 +175,9 @@ func run() error {
 		rep.Format(os.Stdout)
 		fmt.Println()
 		if csv != nil {
-			rep.CSV(csv)
+			if err := rep.CSV(csv); err != nil {
+				return err
+			}
 		}
 		reports = append(reports, rep)
 	}

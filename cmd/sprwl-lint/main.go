@@ -50,7 +50,6 @@ import (
 	"sprwl/internal/analysis/fenceorder"
 	"sprwl/internal/analysis/hotpathalloc"
 	"sprwl/internal/analysis/lockorder"
-	"sprwl/internal/analysis/releaseorder"
 	"sprwl/internal/analysis/spanleak"
 )
 
@@ -61,7 +60,6 @@ var analyzers = []*driver.Analyzer{
 	fenceorder.Analyzer,
 	hotpathalloc.Analyzer,
 	lockorder.Analyzer,
-	releaseorder.Analyzer,
 	spanleak.Analyzer,
 }
 

@@ -2,10 +2,9 @@
 // function bodies, sized for this repository's flow-sensitive analyzers
 // (fenceorder, doomedread). The protocol invariants those analyzers check
 // are happens-before properties — "the reader flag store precedes the
-// first simulated-memory read on every path" — and statement order within
-// one block (what the straight-line releaseorder analyzer inspects) cannot
-// see orderings that differ across branches, loop back-edges, or early
-// returns. A CFG can.
+// first simulated-memory read on every path" — and source order alone
+// cannot see orderings that differ across branches, loop back-edges, or
+// early returns. A CFG can.
 //
 // Shape of the graph:
 //

@@ -131,11 +131,6 @@ func (f *frame) inlineStatic(call *ast.CallExpr, fn *types.Func, recv *absVal) (
 		}
 		return f.evalExpr(call.Args[0])
 	}
-	// core.handle.atFault is the matching core-side fence hook: nil in
-	// every modeled execution, so the call has no shared-memory effect.
-	if fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "internal/core") && fn.Name() == "atFault" {
-		return numVal(Konst(0)), nil
-	}
 	src, ok := f.lo.ex.prog.FuncSource(fn)
 	if !ok {
 		return nil, f.errAt(call, "no source for %s (outside the module?)", qualifiedName(fn))
@@ -325,7 +320,7 @@ func (f *frame) waiterMethod(call *ast.CallExpr, o *object, name string) (*absVa
 		canPark := ok && p.obj != nil && !p.obj.isNil
 		return numVal(Konst(boolTo(canPark))), nil
 	default:
-		// Report/ReportParks/Restart and the other accounting methods are
+		// Report/ReportParks and the other accounting methods are
 		// thread-local heuristics with no shared-memory effect.
 		return numVal(Konst(0)), nil
 	}

@@ -228,10 +228,6 @@ type Lock struct {
 	// nonzero the self-tuning controller must not select the flag
 	// array, which cannot represent them.
 	dynReaders atomic.Int64
-
-	// fault is the test-only fault-point hook (see fault.go); nil in
-	// production, which costs one branch per fence point.
-	fault func(FaultPoint, int)
 }
 
 var _ rwlock.Lock = (*Lock)(nil)

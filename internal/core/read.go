@@ -39,7 +39,6 @@ func (h *handle) Read(csID int, body rwlock.Body) {
 	}
 
 	h.flagReaderAndSyncGL(csID)
-	h.atFault(FaultReaderFlagged)
 
 	bodyStart := l.e.Now()
 	body(l.e)

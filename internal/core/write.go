@@ -80,7 +80,6 @@ func (h *handle) writeFallback(csID int, start uint64, body rwlock.Body) {
 	l := h.l
 	h.lockGL(csID)
 	glAcquired := l.e.Now()
-	h.atFault(FaultWriterAdvertised)
 	h.waitForReaders(csID)
 	bodyStart := l.e.Now()
 	body(l.e)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -128,6 +129,37 @@ func TestThreadSweeps(t *testing.T) {
 	}
 }
 
+// failAfter accepts n writes and fails every later one, like a file on a
+// full device.
+type failAfter struct{ n int }
+
+var errDeviceFull = errors.New("device full")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, errDeviceFull
+	}
+	w.n--
+	return len(p), nil
+}
+
+// TestReportCSVWriteError: a failed write of the header or of any row is
+// returned, not dropped.
+func TestReportCSVWriteError(t *testing.T) {
+	rep := &Report{ID: "figX", Sections: []Section{{
+		Title:  "10% update",
+		Points: []Point{{Algo: "SpRWL"}, {Algo: "TLE"}},
+	}}}
+	for n := 0; n < 3; n++ { // header, first row, second row
+		if err := rep.CSV(&failAfter{n: n}); !errors.Is(err, errDeviceFull) {
+			t.Errorf("CSV failing at write %d returned %v, want %v", n, err, errDeviceFull)
+		}
+	}
+	if err := rep.CSV(&failAfter{n: 3}); err != nil {
+		t.Errorf("CSV with every write succeeding returned %v", err)
+	}
+}
+
 func TestReportFormatAndCSV(t *testing.T) {
 	rep := &Report{
 		ID: "figX", Title: "test figure",
@@ -142,7 +174,9 @@ func TestReportFormatAndCSV(t *testing.T) {
 	}
 	var text, csv strings.Builder
 	rep.Format(&text)
-	rep.CSV(&csv)
+	if err := rep.CSV(&csv); err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{"figX", "test figure", "a note", "SpRWL", "TLE", "10% update"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("Format output missing %q", want)

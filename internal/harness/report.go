@@ -60,20 +60,26 @@ func (r *Report) Format(w io.Writer) {
 	}
 }
 
-// CSV renders every point as comma-separated rows with a header.
-func (r *Report) CSV(w io.Writer) {
-	fmt.Fprintln(w, "figure,section,algo,threads,ops,cycles,throughput_ops_per_mcycle,abort_rate,conflict_share,capacity_share,explicit_share,reader_share,htm_share,rot_share,gl_share,unins_share,pess_share,reader_latency_cycles,writer_latency_cycles,reader_p99_cycles,writer_p99_cycles,spin_wait_cycles,parked_cycles,parks")
+// CSV renders every point as comma-separated rows with a header. It
+// returns the first write error.
+func (r *Report) CSV(w io.Writer) error {
+	if _, err := fmt.Fprintln(w, "figure,section,algo,threads,ops,cycles,throughput_ops_per_mcycle,abort_rate,conflict_share,capacity_share,explicit_share,reader_share,htm_share,rot_share,gl_share,unins_share,pess_share,reader_latency_cycles,writer_latency_cycles,reader_p99_cycles,writer_p99_cycles,spin_wait_cycles,parked_cycles,parks"); err != nil {
+		return err
+	}
 	for _, sec := range r.Sections {
 		secName := strings.ReplaceAll(sec.Title, ",", ";")
 		for _, p := range sec.Points {
-			fmt.Fprintf(w, "%s,%s,%s,%d,%d,%d,%.3f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.1f,%.1f,%d,%d,%d,%d,%d\n",
+			if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%d,%d,%.3f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.1f,%.1f,%d,%d,%d,%d,%d\n",
 				r.ID, secName, p.Algo, p.Threads, p.Ops, p.Cycles, p.Throughput,
 				p.AbortRate, p.ConflictShare, p.CapacityShare, p.ExplicitShare, p.ReaderShare,
 				p.HTMShare, p.ROTShare, p.GLShare, p.UninsShare, p.PessShare,
 				p.ReaderLatency, p.WriterLatency, p.ReaderP99, p.WriterP99,
-				p.SpinWaitCycles, p.ParkedCycles, p.Parks)
+				p.SpinWaitCycles, p.ParkedCycles, p.Parks); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // WriteJSON renders the given reports as an indented JSON document, the

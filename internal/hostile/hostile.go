@@ -16,9 +16,10 @@
 //   - Multi-process crash harness (shm.go, mp.go): the test binary re-execs
 //     itself as worker processes sharing a file-backed mmap arena holding a
 //     locks.SpinMutex-guarded counter protocol. The parent SIGKILLs workers
-//     at the named fence points of core.FaultPoints — after a reader's
-//     flag-raise, after a writer's lock advertisement — and verifies that
-//     the survivors recover the lock, drain, and keep the counter oracle
+//     at the named fence points of CrashPoints — after a reader's
+//     flag-raise, after a writer's lock advertisement, between a writer's
+//     journal publish and its counter store — and verifies that the
+//     survivors recover the lock, drain, and keep the counter oracle
 //     consistent. This is the only tier that tests death, which no
 //     in-process fault can simulate: a killed process's registered state
 //     stays behind with no deferred cleanup.

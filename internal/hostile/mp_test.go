@@ -6,11 +6,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
 
-	"sprwl/internal/core"
 	"sprwl/internal/memmodel"
 )
 
@@ -94,6 +94,15 @@ func writesBefore(plan []MPOp, i int) uint64 {
 	return n
 }
 
+// TestCrashPointNames pins the crash-point catalogue. The names appear on
+// worker command lines and in subtest names, so they must stay stable.
+func TestCrashPointNames(t *testing.T) {
+	want := []string{"reader-flagged", "writer-advertised", "writer-mid-body"}
+	if got := CrashPoints(); !slices.Equal(got, want) {
+		t.Fatalf("CrashPoints() = %q, want %q", got, want)
+	}
+}
+
 // TestMPCrashInjection is the multi-process tier: workers over a shared
 // mmap arena, with the parent SIGKILLing one worker per round at a named
 // fence point and verifying that the survivors recover the lock, revoke
@@ -120,7 +129,7 @@ func TestMPCrashInjection(t *testing.T) {
 			seed:   int64(1000 + r),
 			victim: r % workers,
 		}
-		wantWrite := round.point != core.FaultReaderFlagged.String()
+		wantWrite := round.point != CrashReaderFlagged
 		round.crashOp = pickCrashOp(MPPlan(round.seed, round.victim, ops), wantWrite)
 		if round.crashOp < 0 {
 			t.Fatalf("round %d: plan has no qualifying op", r)

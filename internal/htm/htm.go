@@ -27,7 +27,10 @@
 // owner slot of the (single) transaction that has written it. All conflict
 // handshakes are ordered so that detection is never missed: writers publish
 // ownership before checking readers, readers publish their read bit before
-// loading, and uninstrumented stores write memory before scanning metadata.
+// loading, uninstrumented loads check ownership before loading, and
+// uninstrumented stores write memory before scanning metadata. A
+// transactional load re-checks its own doom after reading memory, so a
+// body never acts on an inconsistent snapshot (opacity).
 // A committing transaction first moves to a Committing state that wins every
 // subsequent doom race, then writes back, then releases its lines — which
 // makes externalization atomic from the point of view of both transactional
@@ -168,20 +171,26 @@ func (s *Space) line(l memmodel.Line) *lineMeta { return &s.lines[l] }
 // remote read of a modified line would abort it in hardware); if the writer
 // is already committing, Load waits for write-back to finish so that it
 // never observes a torn commit.
+//
+// The ownership check precedes the word load. A transaction that reached
+// its commit point before this Load began still owns the line until its
+// write-back is done, so Load either waits for it or reads its value.
+// Loading the word first would let a whole write-back and release slip in
+// between the two reads, and return a value older than a commit that
+// happened before the call.
 func (s *Space) Load(a memmodel.Addr) uint64 {
 	for {
-		v := atomic.LoadUint64(s.word(a))
 		lm := s.line(memmodel.LineOf(a))
 		w := lm.writer.Load()
 		if w == 0 {
-			return v
+			return atomic.LoadUint64(s.word(a))
 		}
 		owner := &s.txs[w-1]
 		if owner.doom(env.AbortConflict) {
 			// The owner was active and is now doomed; it will not
-			// commit, so the value we read (its writes were
-			// buffered) is the committed state.
-			return v
+			// commit, so memory (its writes were buffered) holds
+			// the committed state.
+			return atomic.LoadUint64(s.word(a))
 		}
 		// The owner won the race to commit (or is mid-cleanup): wait
 		// for it to release the line, then re-read the committed

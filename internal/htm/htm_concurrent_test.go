@@ -162,6 +162,84 @@ func TestUninstrumentedReadersNeverSeeTornCommit(t *testing.T) {
 	}
 }
 
+// TestUninstrumentedLoadSeesEarlierCommit reads the two words in commit
+// order: once a reads a commit's value, that commit happened before the load
+// of b began, so b must be at least as new. A Load that read the word before
+// checking line ownership could return a value from before a write-back
+// that finished entirely between its two reads.
+func TestUninstrumentedLoadSeesEarlierCommit(t *testing.T) {
+	s := newTestSpace(t, Config{Threads: 2, Words: 1 << 10})
+	const (
+		a = memmodel.Addr(0)
+		b = memmodel.Addr(64)
+		n = 3000
+	)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for v := uint64(1); v <= n; v++ {
+			retryTx(s, 0, func(tx env.TxAccessor) {
+				tx.Store(a, v)
+				tx.Store(b, v)
+			})
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		va := s.Load(a)
+		vb := s.Load(b)
+		if vb < va {
+			t.Fatalf("stale load: b=%d older than a=%d", vb, va)
+		}
+	}
+}
+
+// TestTransactionalBodiesSeeConsistentSnapshots checks opacity: a reading
+// transaction's body must never observe a and b differ, not even in an
+// attempt that goes on to abort. Hardware aborts a transaction as soon as a
+// conflicting commit invalidates its read set, so a body only ever acts on
+// a consistent snapshot; HTM-first readers whose bodies branch or report on
+// what they read depend on it.
+func TestTransactionalBodiesSeeConsistentSnapshots(t *testing.T) {
+	s := newTestSpace(t, Config{Threads: 2, Words: 1 << 10})
+	const (
+		a = memmodel.Addr(0)
+		b = memmodel.Addr(64)
+		n = 3000
+	)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for v := uint64(1); v <= n; v++ {
+			retryTx(s, 0, func(tx env.TxAccessor) {
+				tx.Store(a, v)
+				tx.Store(b, v)
+			})
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		torn := false
+		var va, vb uint64
+		s.Attempt(1, env.TxOpts{}, func(tx env.TxAccessor) {
+			va = tx.Load(a)
+			vb = tx.Load(b)
+			torn = va != vb
+		})
+		if torn {
+			t.Fatalf("transaction body observed a=%d, b=%d", va, vb)
+		}
+	}
+}
+
 // TestConflictingWritersSerialize runs two transactions that both
 // read-modify-write a pair of lines in opposite order; with eager
 // requester-wins resolution neither deadlock nor lost updates may occur.

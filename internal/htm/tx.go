@@ -149,7 +149,7 @@ func (t *Tx) Load(a memmodel.Addr) uint64 {
 			// The line is ours but this word was never stored:
 			// memory still holds its pre-transactional value, and
 			// owning the line means no tracking is needed.
-			return atomic.LoadUint64(s.word(a))
+			return t.validated(atomic.LoadUint64(s.word(a)))
 		}
 	}
 	if t.rot {
@@ -167,7 +167,23 @@ func (t *Tx) Load(a memmodel.Addr) uint64 {
 		t.readSet.add(l)
 		t.resolveWriter(lm)
 	}
-	return atomic.LoadUint64(s.word(a))
+	return t.validated(atomic.LoadUint64(s.word(a)))
+}
+
+// validated returns v, a word just loaded from memory, unless the
+// transaction was doomed before or during the load, in which case the
+// attempt unwinds. Hardware aborts a transaction the moment a conflicting
+// access invalidates its footprint, so a transactional body never observes
+// an inconsistent snapshot; the emulation dooms asynchronously, and this
+// re-check closes the window between the last checkAlive and the load. It
+// suffices because every committer that overwrites a line in our read or
+// write set dooms us before its write-back (acquireLine, doomLineUsers), so
+// a value reflecting such a commit is only ever loaded once we are doomed.
+func (t *Tx) validated(v uint64) uint64 {
+	if t.doomed() {
+		panic(abortPanic{cause: t.doomCause()})
+	}
+	return v
 }
 
 // rotLoad performs an untracked transactional load.
@@ -175,13 +191,10 @@ func (t *Tx) rotLoad(a memmodel.Addr, l memmodel.Line) uint64 {
 	s := t.space
 	lm := s.line(l)
 	for {
-		v := atomic.LoadUint64(s.word(a))
+		// Ownership before value, as in Space.Load.
 		w := lm.writer.Load()
-		if w == 0 || int(w-1) == t.slot {
-			return v
-		}
-		if s.txs[w-1].doom(env.AbortConflict) {
-			return v
+		if w == 0 || int(w-1) == t.slot || s.txs[w-1].doom(env.AbortConflict) {
+			return atomic.LoadUint64(s.word(a))
 		}
 		for lm.writer.Load() == w {
 			runtime.Gosched()
@@ -294,13 +307,10 @@ func (t *Tx) suspendedLoad(a memmodel.Addr) uint64 {
 	s := t.space
 	lm := s.line(memmodel.LineOf(a))
 	for {
-		v := atomic.LoadUint64(s.word(a))
+		// Ownership before value, as in Space.Load.
 		w := lm.writer.Load()
-		if w == 0 || int(w-1) == t.slot {
-			return v
-		}
-		if s.txs[w-1].doom(env.AbortConflict) {
-			return v
+		if w == 0 || int(w-1) == t.slot || s.txs[w-1].doom(env.AbortConflict) {
+			return atomic.LoadUint64(s.word(a))
 		}
 		for lm.writer.Load() == w {
 			runtime.Gosched()

@@ -2,6 +2,7 @@ package locktable
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -222,6 +223,12 @@ func TestAcquireNStress(t *testing.T) {
 // mechanized lockorder L2 invariant) is the only thing standing between
 // this schedule and an AB/BA deadlock, which the wall-clock guard converts
 // into a test failure instead of a hung run.
+//
+// Two random spans may name disjoint shards, so nothing serializes them
+// against each other; each shard therefore owns a counter that only spans
+// holding that shard touch. A span write increments the counter of every
+// shard it names, and a lost increment on any shard means two writers held
+// that shard at once.
 func TestRandomOrderSpanFuzz(t *testing.T) {
 	const (
 		fuzzShards  = 16
@@ -233,13 +240,14 @@ func TestRandomOrderSpanFuzz(t *testing.T) {
 		iters = 60
 	}
 	tbl, e, ar := newTable(t, Config{Shards: fuzzShards, Threads: fuzzWorkers})
-	counter := ar.AllocLines(1)
 	keys := make([]uint64, fuzzShards)
+	counters := make([]memmodel.Addr, fuzzShards)
 	for s := range keys {
 		keys[s] = keyForShard(t, tbl, s)
+		counters[s] = ar.AllocLines(1)
 	}
 
-	writes := make([]int, fuzzWorkers)
+	writes := make([][fuzzShards]int, fuzzWorkers)
 	done := make(chan int, fuzzWorkers)
 	for g := 0; g < fuzzWorkers; g++ {
 		go func(g int) {
@@ -251,19 +259,33 @@ func TestRandomOrderSpanFuzz(t *testing.T) {
 				// in uniform random order: maximal order conflict between
 				// concurrent workers.
 				w := 2 + rng.Intn(fuzzMaxW-1)
-				perm := rng.Perm(fuzzShards)
+				shards := rng.Perm(fuzzShards)[:w]
 				span = span[:0]
-				for _, s := range perm[:w] {
+				for _, s := range shards {
 					span = append(span, keys[s])
 				}
 				if rng.Intn(4) == 0 {
 					h.ReadN(span, 0, func(acc memmodel.Accessor) {
-						acc.Load(counter)
+						for _, s := range shards {
+							acc.Load(counters[s])
+						}
 					})
 				} else {
-					writes[g]++
+					for _, s := range shards {
+						writes[g][s]++
+					}
 					h.WriteN(span, 0, func(acc memmodel.Accessor) {
-						acc.Store(counter, acc.Load(counter)+1)
+						var seen [fuzzMaxW]uint64
+						for i, s := range shards {
+							seen[i] = acc.Load(counters[s])
+						}
+						// Widen the read-modify-write window so a
+						// second writer on any of these shards would
+						// lose an increment.
+						runtime.Gosched()
+						for i, s := range shards {
+							acc.Store(counters[s], seen[i]+1)
+						}
 					})
 				}
 			}
@@ -279,11 +301,13 @@ func TestRandomOrderSpanFuzz(t *testing.T) {
 			t.Fatal("randomized-order spans deadlocked")
 		}
 	}
-	var want uint64
-	for _, n := range writes {
-		want += uint64(n)
-	}
-	if got := e.Load(counter); got != want {
-		t.Fatalf("counter = %d, want %d", got, want)
+	for s, a := range counters {
+		var want uint64
+		for g := range writes {
+			want += uint64(writes[g][s])
+		}
+		if got := e.Load(a); got != want {
+			t.Errorf("shard %d counter = %d, want %d", s, got, want)
+		}
 	}
 }

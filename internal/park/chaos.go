@@ -7,7 +7,7 @@ import "sync/atomic"
 // Every wait site builds its Policy through SpinPark or Pessimistic, so a
 // single process-wide hook perturbing those constructors reaches every
 // spin-then-park decision in the repository — the core reader/writer waits,
-// the fallback-lock spins, and all five pessimistic baselines — without the
+// the fallback-lock spins, and both pessimistic baselines — without the
 // sites knowing anything about injection. The canonical perturbation is
 // park-budget starvation: the hook zeroes SpinBudget (every waiter parks
 // immediately, hammering the wake protocol) or inflates it (waiters spin

@@ -154,21 +154,11 @@ func (w *Waiter) Pause(a memmodel.Addr, expected, remaining uint64) {
 	w.E.Yield()
 }
 
-// Waited reports whether any Pause occurred since construction (or the
-// last Restart).
+// Waited reports whether any Pause occurred since construction.
 func (w *Waiter) Waited() bool { return w.waited }
 
 // Parked returns the cycles spent parked and the number of park episodes.
 func (w *Waiter) Parked() (cycles uint64, parks int) { return w.parked, int(w.parks) }
-
-// Restart begins a new reporting span while keeping the accumulated spin
-// budget: a site that waits twice in one acquisition (MCS queue handoffs)
-// reports two stalls but does not get a fresh spin allowance.
-func (w *Waiter) Restart() {
-	w.waited, w.t0 = false, 0
-	w.abandoned = false
-	w.parked, w.parks = 0, 0
-}
 
 // Report emits the accumulated stall into ring as one EvWait span for the
 // given reason, plus the park telemetry (parked span, spin-abandoned

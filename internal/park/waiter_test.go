@@ -200,35 +200,6 @@ func TestNilParkerZeroBlockSpinsForever(t *testing.T) {
 	}
 }
 
-// TestRestartKeepsSpinBudget: a second wait episode in one acquisition
-// reports a fresh stall but does not get a fresh spin allowance — the next
-// Pause parks immediately.
-func TestRestartKeepsSpinBudget(t *testing.T) {
-	e := newVclockEnv(0, 10)
-	p := &recParker{vc: e.vc, parkCost: 500}
-	w := Waiter{E: e, P: p, Pol: Policy{SpinBudget: 2, RoundTrip: 1000}}
-
-	for i := 0; i < 3; i++ { // 2 spins + 1 park
-		w.Pause(testAddr, 1, 0)
-	}
-	if len(p.calls) != 1 || !w.Waited() {
-		t.Fatalf("parks=%d waited=%t before Restart, want 1 and true", len(p.calls), w.Waited())
-	}
-
-	w.Restart()
-	if w.Waited() {
-		t.Fatal("Waited() true immediately after Restart")
-	}
-	if c, n := w.Parked(); c != 0 || n != 0 {
-		t.Fatalf("Parked() = (%d, %d) after Restart, want a fresh span", c, n)
-	}
-
-	w.Pause(testAddr, 1, 0) // budget still exhausted: park, not spin
-	if e.yields != 2 || len(p.calls) != 2 {
-		t.Fatalf("yields=%d parks=%d after Restart, want no new spins and a second park", e.yields, len(p.calls))
-	}
-}
-
 // TestReportEmitsNothingWithoutPause: an episode that never waited is
 // invisible to the profiler.
 func TestReportEmitsNothingWithoutPause(t *testing.T) {

@@ -85,15 +85,6 @@ func TestConformance(t *testing.T) {
 		"BRLock": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
 			return locks.NewBRLock(e, ar, threads, nil)
 		},
-		"PFRWL": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
-			return locks.NewPFRWL(e, ar, nil)
-		},
-		"PRWL": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
-			return locks.NewPRWL(e, ar, threads, nil)
-		},
-		"MCS-RW": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
-			return locks.NewMCSRW(e, ar, threads, nil)
-		},
 	}
 	for name, f := range factories {
 		t.Run(name, func(t *testing.T) {
@@ -103,13 +94,28 @@ func TestConformance(t *testing.T) {
 }
 
 // TestConformanceUnderCapacityPressure re-runs the suite with a tiny HTM
-// capacity, forcing every algorithm through its fallback machinery.
+// capacity, forcing every algorithm through its fallback machinery. The
+// SpRWL variants differ in the reader indicator a fallback writer drains
+// (flag array, SNZI, BRAVO table, the self-tuning mix) and in how readers
+// meet a held fallback lock (VersionedSGL), so each gets its own run; the
+// tiny BRAVO table adds a revoke-and-drain of its overflow line to nearly
+// every write.
 func TestConformanceUnderCapacityPressure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("capacity-pressure conformance is slow under -short")
 	}
 	factories := map[string]Factory{
-		"SpRWL": coreFactory(core.DefaultOptions),
+		"SpRWL":            coreFactory(core.DefaultOptions),
+		"SpRWL-NoSched":    coreFactory(core.NoSchedOptions),
+		"SpRWL-SNZI":       coreFactory(core.SNZIOptions),
+		"SpRWL-Auto":       coreFactory(core.AutoSNZIOptions),
+		"SpRWL-Bravo":      coreFactory(core.BravoOptions),
+		"SpRWL-Bravo-Tiny": coreFactory(tinyBravoOptions),
+		"SpRWL-VSGL": coreFactory(func() core.Options {
+			o := core.DefaultOptions()
+			o.VersionedSGL = true
+			return o
+		}),
 		"TLE": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
 			return tle.New(e, ar, 0, nil)
 		},
