@@ -146,11 +146,6 @@ type extractOpts struct {
 	// writeVal is the value a writer body stores (unique per thread so a
 	// torn section is observable).
 	writeVal uint64
-	// attemptCause is the abort cause env.Attempt returns; the default 1
-	// (conflict) sends every hardware attempt to the fallback path,
-	// which is the code the model checks. (The HTM commit path itself is
-	// the hardware's serializability guarantee, not this protocol's.)
-	attemptCause uint64
 	// skipCalls drops the emission of matching inlined calls — the
 	// mutation hook. An entry matches when the callee's qualified name
 	// has the entry as a suffix (e.g. "Hub.Wake").
@@ -162,16 +157,6 @@ type extractOpts struct {
 	// writers store writeVal to both, readers load both and assert
 	// equality (the torn-section check).
 	dataCells [2]uint64
-}
-
-// cause returns the abort cause env.Attempt yields; zero (env.Committed)
-// means "unset" and defaults to conflict, sending every attempt to the
-// fallback path the model actually checks.
-func (o *extractOpts) cause() uint64 {
-	if o.attemptCause == 0 {
-		return 1 // env.AbortConflict
-	}
-	return o.attemptCause
 }
 
 type csRole uint8

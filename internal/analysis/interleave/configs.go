@@ -50,9 +50,7 @@ const (
 // paths read need values.
 type coreOptions struct {
 	ReaderSync, JoinWaiters, WriterSync, ReaderHTMFirst bool
-	UseSNZI, UseBravo, AutoSNZI                         bool
-	TimedReaderWait, VersionedSGL                       bool
-	MaxRetries, ReaderRetries                           int
+	UseSNZI, UseBravo, AutoSNZI, VersionedSGL           bool
 }
 
 func boolConst(b bool) *absVal { return numVal(Konst(boolTo(b))) }
@@ -98,17 +96,14 @@ func (b *binder) hubObj(parker *absVal) *object {
 func (b *binder) optsObj() *object {
 	o := b.opts
 	return newObject("Options", "opts", map[string]*absVal{
-		"ReaderSync":      boolConst(o.ReaderSync),
-		"JoinWaiters":     boolConst(o.JoinWaiters),
-		"WriterSync":      boolConst(o.WriterSync),
-		"ReaderHTMFirst":  boolConst(o.ReaderHTMFirst),
-		"UseSNZI":         boolConst(o.UseSNZI),
-		"UseBravo":        boolConst(o.UseBravo),
-		"AutoSNZI":        boolConst(o.AutoSNZI),
-		"TimedReaderWait": boolConst(o.TimedReaderWait),
-		"VersionedSGL":    boolConst(o.VersionedSGL),
-		"MaxRetries":      intConst(o.MaxRetries),
-		"ReaderRetries":   intConst(o.ReaderRetries),
+		"ReaderSync":     boolConst(o.ReaderSync),
+		"JoinWaiters":    boolConst(o.JoinWaiters),
+		"WriterSync":     boolConst(o.WriterSync),
+		"ReaderHTMFirst": boolConst(o.ReaderHTMFirst),
+		"UseSNZI":        boolConst(o.UseSNZI),
+		"UseBravo":       boolConst(o.UseBravo),
+		"AutoSNZI":       boolConst(o.AutoSNZI),
+		"VersionedSGL":   boolConst(o.VersionedSGL),
 	})
 }
 
@@ -322,7 +317,7 @@ func BuildConfig(ex *extractor, name string, tm *threadMut) (*Model, error) {
 }
 
 func buildMutex2W(ex *extractor, tm *threadMut) (*Model, error) {
-	b := &binder{threads: 2, parker: true, opts: coreOptions{MaxRetries: 1}}
+	b := &binder{threads: 2, parker: true}
 	w0, err := extractThread(ex, b, "W0", writeRoot, -1, csWriter, 1, tm)
 	if err != nil {
 		return nil, err
@@ -341,7 +336,7 @@ func buildMutex2W(ex *extractor, tm *threadMut) (*Model, error) {
 }
 
 func buildMutex2R1W(ex *extractor, tm *threadMut) (*Model, error) {
-	b := &binder{threads: 3, parker: true, opts: coreOptions{MaxRetries: 1}}
+	b := &binder{threads: 3, parker: true}
 	r0, err := extractThread(ex, b, "R0", readRoot, 0, csReader, 0, tm)
 	if err != nil {
 		return nil, err
@@ -364,9 +359,7 @@ func buildMutex2R1W(ex *extractor, tm *threadMut) (*Model, error) {
 }
 
 func buildRSync2R1W(ex *extractor, tm *threadMut) (*Model, error) {
-	b := &binder{threads: 3, parker: true, opts: coreOptions{
-		ReaderSync: true, JoinWaiters: true, MaxRetries: 1,
-	}}
+	b := &binder{threads: 3, parker: true, opts: coreOptions{ReaderSync: true, JoinWaiters: true}}
 	r0, err := extractThread(ex, b, "R0", readRoot, 0, csReader, 0, tm)
 	if err != nil {
 		return nil, err
@@ -389,9 +382,7 @@ func buildRSync2R1W(ex *extractor, tm *threadMut) (*Model, error) {
 }
 
 func buildBravo1R1W(ex *extractor, tm *threadMut) (*Model, error) {
-	b := &binder{threads: 2, parker: true, bravo: true, opts: coreOptions{
-		UseBravo: true, MaxRetries: 1,
-	}}
+	b := &binder{threads: 2, parker: true, bravo: true, opts: coreOptions{UseBravo: true}}
 	r0, err := extractThread(ex, b, "R0", readRoot, 0, csReader, 0, tm)
 	if err != nil {
 		return nil, err
@@ -414,9 +405,7 @@ func buildBravo1R1W(ex *extractor, tm *threadMut) (*Model, error) {
 }
 
 func buildVSGL1R1W(ex *extractor, tm *threadMut) (*Model, error) {
-	b := &binder{threads: 2, parker: true, opts: coreOptions{
-		VersionedSGL: true, MaxRetries: 1,
-	}}
+	b := &binder{threads: 2, parker: true, opts: coreOptions{VersionedSGL: true}}
 	r0, err := extractThread(ex, b, "R0", readRoot, 0, csReader, 0, tm)
 	if err != nil {
 		return nil, err

@@ -105,7 +105,7 @@ func TestExtractRequiresDirective(t *testing.T) {
 // the named inline site, not every caller of the function.
 func TestSkipCallSitePattern(t *testing.T) {
 	ex := testExtractor(t)
-	b := &binder{threads: 3, parker: true, opts: coreOptions{ReaderSync: true, MaxRetries: 1}}
+	b := &binder{threads: 3, parker: true, opts: coreOptions{ReaderSync: true}}
 	full, err := extractThread(ex, b, "W", writeRoot, 2, csWriter, 7, nil)
 	if err != nil {
 		t.Fatalf("extract writer: %v", err)

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
+
+	"sprwl/internal/env"
 )
 
 // Call lowering. Three layers, checked in order:
@@ -249,11 +251,12 @@ func (f *frame) envMethod(call *ast.CallExpr, name string) (*absVal, error) {
 		return numVal(RegRef(r)), nil
 	case "Attempt":
 		// A hardware-transaction attempt. The model pins its outcome to
-		// the configured abort cause (default: conflict): the HTM commit
+		// a capacity abort, which skips the attempt budget and sends
+		// every attempt straight to the fallback path: the HTM commit
 		// path's serializability is the hardware's guarantee, while the
-		// protocol obligations under test live on the abort/fallback
-		// paths. The closure body is never lowered.
-		return numVal(Konst(f.lo.opts.cause())), nil
+		// protocol obligations under test live on the fallback paths.
+		// The closure body is never lowered.
+		return numVal(Konst(uint64(env.AbortCapacity))), nil
 	case "Now":
 		return numVal(Konst(0)), nil
 	case "Yield", "WaitUntil":

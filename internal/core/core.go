@@ -17,10 +17,11 @@
 // (a writer aborted by a reader delays its retry so that it is predicted to
 // finish δ cycles after the last active reader) — and the optimizations of
 // §3.4 (readers attempt HTM first, SNZI-based reader tracking, timed reader
-// waits) plus the §3.3 versioned-SGL anti-starvation scheme. Every feature
-// is individually switchable through Options, which is how the Fig. 5
-// ablation (NoSched / RWait / RSync / SpRWL) and the Fig. 6 SNZI study are
-// produced.
+// waits) plus the §3.3 versioned-SGL anti-starvation scheme. Options
+// switches the scheduling schemes, HTM-first readers, the reader-tracking
+// backend and the versioned SGL, which is how the Fig. 5 ablation (NoSched
+// / RWait / RSync / SpRWL) and the Fig. 6 SNZI study are produced; timed
+// reader waits and the paper's 10-attempt budget are always on.
 package core
 
 import (
@@ -45,6 +46,11 @@ const (
 	stateReader = 1 // #READER
 	stateWriter = 2 // #WRITER
 )
+
+// htmRetries is the hardware attempt budget, for writers and for
+// HTM-first readers, before the fallback path activates; capacity aborts
+// skip the budget and fall back immediately (§4). The paper uses 10.
+const htmRetries = 10
 
 // Options selects SpRWL's scheduling schemes and optimizations.
 type Options struct {
@@ -82,8 +88,9 @@ type Options struct {
 	UseBravo bool
 
 	// BravoSlots overrides the BRAVO table size (rounded to a power of
-	// two in [4, 256]); 0 derives it from runtime.GOMAXPROCS.
-	// Deterministic runs (the simulator harness) must pin it.
+	// two in [4, 256]); 0 derives it from runtime.GOMAXPROCS. The
+	// simulator harness always pins it, so simulated runs never read
+	// the host's core count.
 	BravoSlots int
 
 	// AutoSNZI enables the paper's §5 future-work self-tuning: the lock
@@ -100,38 +107,21 @@ type Options struct {
 	// DefaultAutoSNZIThreshold.
 	AutoSNZIThreshold uint64
 
-	// TimedReaderWait makes a reader waiting for a writer sleep on the
-	// timestamp counter until the writer's predicted end instead of
-	// spinning on the writer's state entry (§3.4).
-	TimedReaderWait bool
-
 	// VersionedSGL enables the §3.3 anti-starvation scheme: the fallback
 	// lock carries a version, and a reader stops deferring to fallback
 	// writers that acquired the lock after the reader started waiting.
 	VersionedSGL bool
-
-	// MaxRetries is the hardware attempt budget for writers before the
-	// fallback path activates; capacity aborts skip the budget and fall
-	// back immediately (§4). The paper uses 10.
-	MaxRetries int
-
-	// ReaderRetries is the hardware attempt budget for readers when
-	// ReaderHTMFirst is enabled; capacity aborts fall back immediately.
-	ReaderRetries int
 }
 
 // DefaultOptions returns the full SpRWL configuration the paper evaluates
-// under the name "SpRWL": both scheduling schemes, HTM-first readers, timed
-// waits, flag-array reader tracking, and a 10-attempt budget.
+// under the name "SpRWL": both scheduling schemes, HTM-first readers and
+// flag-array reader tracking.
 func DefaultOptions() Options {
 	return Options{
-		ReaderSync:      true,
-		JoinWaiters:     true,
-		WriterSync:      true,
-		ReaderHTMFirst:  true,
-		TimedReaderWait: true,
-		MaxRetries:      10,
-		ReaderRetries:   10,
+		ReaderSync:     true,
+		JoinWaiters:    true,
+		WriterSync:     true,
+		ReaderHTMFirst: true,
 	}
 }
 
@@ -211,7 +201,7 @@ type Lock struct {
 	adapt     adaptState
 
 	// parker is the environment's sleep/wake primitive (nil = spin-only,
-	// the simulator's default); wakes is the nil-safe wake endpoint the
+	// as in the simulator); wakes is the nil-safe wake endpoint the
 	// writer-retire paths call after their phase stores.
 	parker park.Parker
 	wakes  park.Hub
@@ -274,12 +264,6 @@ func New(e env.Env, ar *memmodel.Arena, threads, numCS int, opts Options, pipe *
 	}
 	if threads > e.Threads() {
 		return nil, fmt.Errorf("core: %d threads exceed environment capacity %d", threads, e.Threads())
-	}
-	if opts.MaxRetries < 1 {
-		opts.MaxRetries = 1
-	}
-	if opts.ReaderRetries < 1 {
-		opts.ReaderRetries = 1
 	}
 	l := &Lock{
 		e:          e,

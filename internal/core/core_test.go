@@ -196,7 +196,6 @@ func TestFig1WriterAbortsOnActiveReader(t *testing.T) {
 func TestReaderSyncDefersToActiveWriter(t *testing.T) {
 	opts := RSyncOptions()
 	opts.ReaderHTMFirst = false
-	opts.TimedReaderWait = false
 	l, e, _, _ := testSetup(t, 3, htm.Config{}, opts)
 
 	// Simulate an active writer on slot 0.
@@ -237,14 +236,17 @@ func TestReaderSyncDefersToActiveWriter(t *testing.T) {
 func TestJoinWaiters(t *testing.T) {
 	opts := RSyncOptions()
 	opts.ReaderHTMFirst = false
-	opts.TimedReaderWait = false
 	l, e, _, _ := testSetup(t, 4, htm.Config{}, opts)
 
-	// Writer 0 active with a long predicted end; writer 1 active with a
-	// longer one. A lone reader would pick writer 1 (max clock); a
-	// joining reader must adopt the first waiter's choice instead.
-	e.Store(l.clockWAddr(0), e.Now()+1_000_000_000)
+	// Writer 0 active with a predicted end already in the past, so the
+	// §3.4 timed wait returns at once and the reader blocks on the state
+	// word; writer 1 active with a later one. A lone reader would pick
+	// writer 1 (max clock); a joining reader must adopt the first
+	// waiter's choice instead.
+	e.Store(l.clockWAddr(0), e.Now())
 	e.Store(l.stateAddr(0), stateWriter)
+	e.Store(l.clockWAddr(1), e.Now()+1)
+	e.Store(l.stateAddr(1), stateWriter)
 	// Reader 2 is already waiting for writer 0.
 	e.Store(l.waitingForAddr(2), 1)
 

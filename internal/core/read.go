@@ -66,7 +66,7 @@ func (h *handle) readTryHTM(csID int, start uint64, body rwlock.Body) bool {
 	l := h.l
 	h.txBody = body
 	committed := false
-	for attempts := 0; attempts < l.opts.ReaderRetries; {
+	for attempts := 0; attempts < htmRetries; {
 		if l.gl.IsLocked() {
 			// The fallback path is active; the uninstrumented path
 			// knows how to synchronize with it.
@@ -123,19 +123,17 @@ func (h *handle) readersWait(csID int) {
 		// the waitingFor array is per-slot.
 		l.e.Store(l.waitingForAddr(h.slot), uint64(wait+1))
 	}
-	if l.opts.TimedReaderWait {
-		// §3.4: sleep on the timestamp counter until the writer's
-		// predicted end instead of hammering its state line.
-		if t := l.e.Load(l.clockWAddr(wait)); t > l.e.Now() {
-			l.e.WaitUntil(t)
-		}
+	// §3.4: sleep on the timestamp counter until the writer's predicted
+	// end instead of hammering its state line.
+	if t := l.e.Load(l.clockWAddr(wait)); t > l.e.Now() {
+		l.e.WaitUntil(t)
 	}
 	// Spin-then-park on the writer's state word; the writer's retirement
 	// store in finishWrite is followed by the wake. The writer's
 	// advertised end time predicts the remaining wait (the §3.2.1
 	// estimator feeds it), sending long waits straight to the parker —
 	// the prediction load is gated on CanPark so spin-only environments
-	// (the simulator's default) execute the historical access sequence.
+	// (the simulator) execute the historical access sequence.
 	w := park.Waiter{E: l.e, P: l.parker, Pol: park.SpinPark()}
 	a := l.stateAddr(wait)
 	for l.e.Load(a) == stateWriter {

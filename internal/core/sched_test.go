@@ -32,15 +32,14 @@ func testSetupVirtual(t *testing.T, threads int, opts Options) (*Lock, env.Env, 
 	return l, e, vc
 }
 
-// TestTimedReaderWaitUsesWriterClock: with the §3.4 timed-wait optimization
-// a deferring reader sleeps until the writer's advertised end time instead
-// of returning as soon as the flag clears. On the virtual clock the only
-// thing that can advance time is that timed wait, so the reader's entry
-// timestamp must equal the advertised clock exactly.
-func TestTimedReaderWaitUsesWriterClock(t *testing.T) {
+// TestReaderTimedWaitUsesWriterClock: with the §3.4 timed wait a deferring
+// reader sleeps until the writer's advertised end time instead of returning
+// as soon as the flag clears. On the virtual clock the only thing that can
+// advance time is that timed wait, so the reader's entry timestamp must
+// equal the advertised clock exactly.
+func TestReaderTimedWaitUsesWriterClock(t *testing.T) {
 	opts := RSyncOptions()
 	opts.ReaderHTMFirst = false
-	opts.TimedReaderWait = true
 	l, e, _ := testSetupVirtual(t, 3, opts)
 
 	const writerEnd = 20_000_000

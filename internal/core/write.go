@@ -16,7 +16,7 @@ import (
 // along with its predicted end time, so arriving readers defer to it
 // (Alg. 2); with WriterSync a reader-caused abort delays the retry so the
 // writer is predicted to finish δ cycles after the last active reader
-// (Alg. 3, δ = half the writer's expected duration). After MaxRetries
+// (Alg. 3, δ = half the writer's expected duration). After htmRetries
 // attempts — immediately on a capacity abort — the writer takes the global
 // fallback lock, waits for active readers to drain, and runs pessimistically.
 //
@@ -60,7 +60,7 @@ func (h *handle) Write(csID int, body rwlock.Body) {
 		}
 		h.ring.Abort(obs.Writer, csID, cause, l.e.Now())
 		attempts++
-		if cause == env.AbortCapacity || attempts >= l.opts.MaxRetries {
+		if cause == env.AbortCapacity || attempts >= htmRetries {
 			break
 		}
 		if l.opts.WriterSync && cause == env.AbortReader {

@@ -14,6 +14,7 @@ import (
 	"sprwl/internal/obs"
 	"sprwl/internal/rwle"
 	"sprwl/internal/rwlock"
+	"sprwl/internal/sim"
 	"sprwl/internal/tle"
 )
 
@@ -52,34 +53,46 @@ func LockWords(threads int) int {
 	return 3*core.Words(threads) + 64*memmodel.LineWords*(threads+4)
 }
 
+// sprwlVariants maps each SpRWL algorithm name to its core options.
+var sprwlVariants = map[string]func() core.Options{
+	AlgoSpRWL:        core.DefaultOptions,
+	AlgoSpRWLSNZI:    core.SNZIOptions,
+	AlgoSpRWLBravo:   core.BravoOptions,
+	AlgoSpRWLNoSched: core.NoSchedOptions,
+	AlgoSpRWLRWait:   core.RWaitOptions,
+	AlgoSpRWLRSync:   core.RSyncOptions,
+	AlgoSpRWLVSGL: func() core.Options {
+		o := core.DefaultOptions()
+		o.VersionedSGL = true
+		return o
+	},
+	AlgoSpRWLAuto: core.AutoSNZIOptions,
+}
+
+// simBravoSlots is the BRAVO table size of every simulated SpRWL lock.
+// The real runtime sizes the table from GOMAXPROCS, but a simulated
+// machine has no host CPUs to size it from, and a figure must not depend
+// on the host that regenerates it. Four slots is the table
+// BENCH_baseline.json was recorded with.
+const simBravoSlots = 4
+
 // BuildLock constructs the named algorithm over e, carving lock state from
 // ar. numCS sizes the duration estimator for SpRWL variants. pipe is the
 // observability pipeline the lock reports through; nil disables
 // instrumentation.
 func BuildLock(name string, e env.Env, ar *memmodel.Arena, threads, numCS int, pipe *obs.Pipeline) (rwlock.Lock, error) {
-	switch name {
-	case AlgoSpRWL:
-		return core.New(e, ar, threads, numCS, core.DefaultOptions(), pipe)
-	case AlgoSpRWLSNZI:
-		return core.New(e, ar, threads, numCS, core.SNZIOptions(), pipe)
-	case AlgoSpRWLBravo:
-		return core.New(e, ar, threads, numCS, core.BravoOptions(), pipe)
-	case AlgoSpRWLNoSched:
-		return core.New(e, ar, threads, numCS, core.NoSchedOptions(), pipe)
-	case AlgoSpRWLRWait:
-		return core.New(e, ar, threads, numCS, core.RWaitOptions(), pipe)
-	case AlgoSpRWLRSync:
-		return core.New(e, ar, threads, numCS, core.RSyncOptions(), pipe)
-	case AlgoSpRWLVSGL:
-		opts := core.DefaultOptions()
-		opts.VersionedSGL = true
+	if variant, ok := sprwlVariants[name]; ok {
+		opts := variant()
+		if _, simulated := e.(*sim.Env); simulated {
+			opts.BravoSlots = simBravoSlots
+		}
 		return core.New(e, ar, threads, numCS, opts, pipe)
-	case AlgoSpRWLAuto:
-		return core.New(e, ar, threads, numCS, core.AutoSNZIOptions(), pipe)
+	}
+	switch name {
 	case AlgoTLE:
-		return tle.New(e, ar, 0, pipe), nil
+		return tle.New(e, ar, pipe), nil
 	case AlgoRWLE:
-		return rwle.New(e, ar, threads, 0, 0, pipe), nil
+		return rwle.New(e, ar, threads, pipe), nil
 	case AlgoRWL:
 		return locks.NewRWL(e, ar, pipe), nil
 	case AlgoBRLock:

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -60,6 +61,33 @@ func TestRunHashmapPointIsDeterministic(t *testing.T) {
 	}
 	if a.Ops == 0 {
 		t.Fatal("point completed zero operations")
+	}
+}
+
+// TestSimulatedPointIgnoresGOMAXPROCS: a simulated figure must not depend
+// on the host that regenerates it. The real runtime sizes SpRWL-Auto's
+// BRAVO table from GOMAXPROCS, so one quick extauto point (16-lookup
+// readers, where the table size moves throughput by a third) must come out
+// identical at GOMAXPROCS 1 and 8.
+func TestSimulatedPointIgnoresGOMAXPROCS(t *testing.T) {
+	p := htm.Power8()
+	wl := hashmapFor(p)
+	wl.LookupsPerRead = 16
+	wl.UpdatePercent = 50
+	cfg := HashmapPointConfig{
+		Algo: AlgoSpRWLAuto, Threads: 32, Profile: p,
+		Workload: wl, Horizon: DefaultHorizon / 8, Seed: 1,
+	}
+	run := func(procs int) Point {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		pt, err := RunHashmapPoint(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pt
+	}
+	if one, eight := run(1), run(8); one != eight {
+		t.Fatalf("point depends on GOMAXPROCS:\n  1: %+v\n  8: %+v", one, eight)
 	}
 }
 

@@ -87,7 +87,6 @@ func runChaosCombo(t *testing.T, combo chaosCombo) comboArtifact {
 		t.Fatal(err)
 	}
 	e := htm.NewRuntime(space, nil)
-	e.SetParking(true)
 	ar := memmodel.NewArena(0, space.Size())
 
 	col := stats.NewCollector(threads + 1) // +1: the chaos controller's ring

@@ -5,12 +5,14 @@
 // serving milestone of the ROADMAP needs — millions of keys cannot share
 // one lock's reader indicators, writer queue, and parking hub.
 //
-// Each shard is a complete, independent SpRWL lock: its own BRAVO reader
-// table (sized from GOMAXPROCS by default), its own AutoSNZI self-tuning
-// controller, its own fallback lock and waiter wake hub. A key selects its
-// shard by splitmix64 hash mixing (readers.Mix64) masked to the table size,
-// so adjacent keys land on unrelated shards and a skewed key distribution
-// still spreads across the table.
+// Each shard is a complete, independent SpRWL lock built with
+// core.AutoSNZIOptions(): its own BRAVO reader table (sized from
+// GOMAXPROCS), its own AutoSNZI self-tuning controller switching between
+// the flag array, that table and SNZI, its own fallback lock and waiter
+// wake hub. A key selects its shard by splitmix64 hash mixing
+// (readers.Mix64) masked to the table size, so adjacent keys land on
+// unrelated shards and a skewed key distribution still spreads across the
+// table.
 //
 // # Single-key sections
 //
@@ -72,11 +74,6 @@ type Config struct {
 	// NumCS is how many distinct critical-section IDs each shard's
 	// duration estimator tracks; 0 defaults to 16.
 	NumCS int
-
-	// Opts selects each shard's SpRWL variant. The zero value is
-	// upgraded to core.AutoSNZIOptions(): per-shard self-tuning between
-	// the flag array, the GOMAXPROCS-sized BRAVO table, and SNZI.
-	Opts core.Options
 }
 
 // normalize fills defaults and rounds the shard count.
@@ -93,9 +90,6 @@ func (c *Config) normalize() {
 	c.Shards = ceilPow2(c.Shards)
 	if c.NumCS <= 0 {
 		c.NumCS = 16
-	}
-	if (c.Opts == core.Options{}) {
-		c.Opts = core.AutoSNZIOptions()
 	}
 }
 
@@ -118,7 +112,7 @@ func NumShards(cfg Config) int {
 // in words.
 func Words(cfg Config) int {
 	cfg.normalize()
-	return cfg.Shards * core.WordsFor(cfg.Threads, cfg.Opts)
+	return cfg.Shards * core.WordsFor(cfg.Threads, core.AutoSNZIOptions())
 }
 
 // Table is a sharded SpRWL lock namespace.
@@ -142,7 +136,7 @@ func New(e env.Env, ar *memmodel.Arena, cfg Config, pipe *obs.Pipeline) (*Table,
 		mask:   uint64(cfg.Shards - 1),
 	}
 	for i := range t.shards {
-		l, err := core.New(e, ar, cfg.Threads, cfg.NumCS, cfg.Opts, pipe)
+		l, err := core.New(e, ar, cfg.Threads, cfg.NumCS, core.AutoSNZIOptions(), pipe)
 		if err != nil {
 			return nil, fmt.Errorf("locktable: shard %d: %w", i, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"sprwl/internal/core"
 	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
 )
@@ -49,9 +48,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.NumCS != 16 {
 		t.Fatalf("default NumCS = %d, want 16", cfg.NumCS)
 	}
-	if !cfg.Opts.AutoSNZI {
-		t.Fatalf("default Opts = %+v, want AutoSNZI", cfg.Opts)
-	}
 
 	for _, tc := range []struct{ in, want int }{
 		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {16, 16}, {17, 32},
@@ -66,7 +62,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestShardRouting(t *testing.T) {
-	tbl, _, _ := newTable(t, Config{Shards: 16, Threads: 1, Opts: core.NoSchedOptions()})
+	tbl, _, _ := newTable(t, Config{Shards: 16, Threads: 1})
 	if tbl.Shards() != 16 {
 		t.Fatalf("Shards() = %d, want 16", tbl.Shards())
 	}
@@ -89,6 +85,9 @@ func TestShardRouting(t *testing.T) {
 	for i := 0; i < tbl.Shards(); i++ {
 		if tbl.Shard(i) == nil {
 			t.Fatalf("Shard(%d) = nil", i)
+		}
+		if got := tbl.Shard(i).Name(); got != "SpRWL-Auto" {
+			t.Fatalf("Shard(%d) runs %s, want SpRWL-Auto", i, got)
 		}
 	}
 }

@@ -39,12 +39,10 @@
 // # Environments
 //
 // The real concurrent runtime (internal/htm) owns a Table and blocks
-// goroutines for real. The discrete-event simulator (internal/sim) instead
-// models parking deterministically as a bounded virtual-time sleep — or,
-// by default, provides no parker at all, in which case every Waiter
-// degrades to exactly the spin (or modelled spin-then-block) sequence the
-// sites performed before this package existed, keeping simulated sweeps
-// bit-identical.
+// goroutines for real. The discrete-event simulator (internal/sim)
+// provides no parker at all, so every Waiter degrades to exactly the spin
+// (or modelled spin-then-block) sequence the sites performed before this
+// package existed, keeping simulated sweeps bit-identical.
 package park
 
 import (

@@ -111,9 +111,8 @@ type Waiter struct {
 
 // CanPark reports whether Pause can ever actually park. Sites whose
 // remaining-wait prediction costs extra (charged) memory accesses gate
-// those loads on CanPark so that spin-only environments — the simulator's
-// default — execute bit-identical access sequences with or without this
-// package.
+// those loads on CanPark so that spin-only environments — the simulator —
+// execute bit-identical access sequences with or without this package.
 func (w *Waiter) CanPark() bool { return w.P != nil }
 
 // Pause is called once per failed predicate check: it spins, parks on the

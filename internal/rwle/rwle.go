@@ -42,36 +42,26 @@ const (
 
 // RWLE is a hardware read-write lock-elision lock.
 type RWLE struct {
-	e          env.Env
-	threads    int
-	epochs     memmodel.Addr // per-thread line: odd = reader active
-	wlock      locks.SpinMutex
-	gl         locks.SpinMutex
-	htmRetries int
-	rotRetries int
-	pipe       *obs.Pipeline
+	e       env.Env
+	threads int
+	epochs  memmodel.Addr // per-thread line: odd = reader active
+	wlock   locks.SpinMutex
+	gl      locks.SpinMutex
+	pipe    *obs.Pipeline
 }
 
 var _ rwlock.Lock = (*RWLE)(nil)
 
-// New carves an RW-LE lock out of the arena. Non-positive budgets select
-// the defaults; pipe may be nil to disable instrumentation.
-func New(e env.Env, ar *memmodel.Arena, threads, htmRetries, rotRetries int, pipe *obs.Pipeline) *RWLE {
-	if htmRetries <= 0 {
-		htmRetries = DefaultHTMRetries
-	}
-	if rotRetries <= 0 {
-		rotRetries = DefaultROTRetries
-	}
+// New carves an RW-LE lock out of the arena; pipe may be nil to disable
+// instrumentation.
+func New(e env.Env, ar *memmodel.Arena, threads int, pipe *obs.Pipeline) *RWLE {
 	return &RWLE{
-		e:          e,
-		threads:    threads,
-		epochs:     ar.AllocLines(threads),
-		wlock:      locks.NewSpinMutex(e, ar.AllocLines(1)),
-		gl:         locks.NewSpinMutex(e, ar.AllocLines(1)),
-		htmRetries: htmRetries,
-		rotRetries: rotRetries,
-		pipe:       pipe,
+		e:       e,
+		threads: threads,
+		epochs:  ar.AllocLines(threads),
+		wlock:   locks.NewSpinMutex(e, ar.AllocLines(1)),
+		gl:      locks.NewSpinMutex(e, ar.AllocLines(1)),
+		pipe:    pipe,
 	}
 }
 
@@ -148,7 +138,7 @@ func (h *handle) Write(csID int, body rwlock.Body) {
 		})
 	}
 
-	for attempts := 0; attempts < l.htmRetries; attempts++ {
+	for attempts := 0; attempts < DefaultHTMRetries; attempts++ {
 		waited := false
 		var t0 uint64
 		for l.gl.IsLocked() || l.wlock.IsLocked() {
@@ -173,7 +163,7 @@ func (h *handle) Write(csID int, body rwlock.Body) {
 
 	// ROT path: serialized among writers, unlimited read footprint.
 	l.wlock.Lock()
-	for attempts := 0; attempts < l.rotRetries; attempts++ {
+	for attempts := 0; attempts < DefaultROTRetries; attempts++ {
 		waited := false
 		var t0 uint64
 		for l.gl.IsLocked() {

@@ -27,7 +27,7 @@ func setup(t *testing.T, threads int, cfg htm.Config) (*RWLE, env.Env, *memmodel
 	e := htm.NewRuntime(space, nil)
 	ar := memmodel.NewArena(0, space.Size())
 	col := stats.NewCollector(threads)
-	return New(e, ar, threads, 0, 0, col.Pipeline()), e, ar, col
+	return New(e, ar, threads, col.Pipeline()), e, ar, col
 }
 
 func TestUncontendedWriterCommitsHTM(t *testing.T) {

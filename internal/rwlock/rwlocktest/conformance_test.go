@@ -74,10 +74,10 @@ func TestConformance(t *testing.T) {
 			return o
 		}),
 		"TLE": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
-			return tle.New(e, ar, 0, nil)
+			return tle.New(e, ar, nil)
 		},
 		"RW-LE": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
-			return rwle.New(e, ar, threads, 0, 0, nil)
+			return rwle.New(e, ar, threads, nil)
 		},
 		"RWL": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
 			return locks.NewRWL(e, ar, nil)
@@ -117,10 +117,10 @@ func TestConformanceUnderCapacityPressure(t *testing.T) {
 			return o
 		}),
 		"TLE": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
-			return tle.New(e, ar, 0, nil)
+			return tle.New(e, ar, nil)
 		},
 		"RW-LE": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
-			return rwle.New(e, ar, threads, 0, 0, nil)
+			return rwle.New(e, ar, threads, nil)
 		},
 	}
 	for name, f := range factories {

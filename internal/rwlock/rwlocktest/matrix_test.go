@@ -27,9 +27,9 @@ var backendAxis = []struct {
 }
 
 // validOptionCombos enumerates every semantically valid Options value over
-// the boolean axes: JoinWaiters and TimedReaderWait are refinements of
-// ReaderSync (meaningless without the state-array scan), and the four
-// tracking backends are mutually exclusive by construction.
+// the boolean axes: JoinWaiters is a refinement of ReaderSync (meaningless
+// without the state-array scan), and the four tracking backends are
+// mutually exclusive by construction.
 func validOptionCombos() []struct {
 	name string
 	opts core.Options
@@ -40,35 +40,28 @@ func validOptionCombos() []struct {
 	}
 	for _, rs := range []bool{false, true} {
 		jwAxis := []bool{false}
-		trwAxis := []bool{false}
 		if rs {
 			jwAxis = []bool{false, true}
-			trwAxis = []bool{false, true}
 		}
 		for _, jw := range jwAxis {
-			for _, trw := range trwAxis {
-				for _, ws := range []bool{false, true} {
-					for _, htmFirst := range []bool{false, true} {
-						for _, vsgl := range []bool{false, true} {
-							for _, be := range backendAxis {
-								o := core.Options{
-									ReaderSync:      rs,
-									JoinWaiters:     jw,
-									TimedReaderWait: trw,
-									WriterSync:      ws,
-									ReaderHTMFirst:  htmFirst,
-									VersionedSGL:    vsgl,
-									MaxRetries:      4,
-									ReaderRetries:   4,
-								}
-								be.apply(&o)
-								name := fmt.Sprintf("%s_rs=%t_jw=%t_trw=%t_ws=%t_htm=%t_vsgl=%t",
-									be.name, rs, jw, trw, ws, htmFirst, vsgl)
-								combos = append(combos, struct {
-									name string
-									opts core.Options
-								}{name, o})
+			for _, ws := range []bool{false, true} {
+				for _, htmFirst := range []bool{false, true} {
+					for _, vsgl := range []bool{false, true} {
+						for _, be := range backendAxis {
+							o := core.Options{
+								ReaderSync:     rs,
+								JoinWaiters:    jw,
+								WriterSync:     ws,
+								ReaderHTMFirst: htmFirst,
+								VersionedSGL:   vsgl,
 							}
+							be.apply(&o)
+							name := fmt.Sprintf("%s_rs=%t_jw=%t_ws=%t_htm=%t_vsgl=%t",
+								be.name, rs, jw, ws, htmFirst, vsgl)
+							combos = append(combos, struct {
+								name string
+								opts core.Options
+							}{name, o})
 						}
 					}
 				}
@@ -82,7 +75,7 @@ func validOptionCombos() []struct {
 // exclusion, reader isolation, exactly-once effects) over every valid
 // options combination with short rounds.
 func TestOptionsMatrix(t *testing.T) {
-	// One leak baseline over all 320 combos: cleanup runs after the last
+	// One leak baseline over all 96 combos: cleanup runs after the last
 	// sequential subtest, when any stranded waiter is unambiguous.
 	hostile.LeakCheck(t)
 	combos := validOptionCombos()

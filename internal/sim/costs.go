@@ -29,8 +29,7 @@ type Costs struct {
 	StreamCacheLines int
 }
 
-// DefaultCosts returns the standard cost model used by the benchmark
-// harness.
+// DefaultCosts returns the cost model every simulation runs with.
 func DefaultCosts() Costs {
 	return Costs{
 		LoadHit:          4,

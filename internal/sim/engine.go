@@ -39,18 +39,6 @@ type Config struct {
 	// Profile selects the machine model (capacities, SMT topology).
 	// A zero-value profile means "no capacity limits".
 	Profile htm.Profile
-	// Costs is the cycle cost model; zero value selects DefaultCosts.
-	Costs Costs
-	// SpuriousEvery forwards to htm.Config for failure injection.
-	SpuriousEvery uint64
-	// ParkCycles, when nonzero, enables a deterministic model of waiter
-	// parking (package park): Park re-checks the phase word and, if still
-	// blocked, sleeps ParkCycles of virtual time before returning to the
-	// caller's re-check loop; Wake costs nothing (the sleeper's bounded
-	// timeout stands in for the wake). Zero — the default — provides no
-	// parker at all, so every wait site degrades to its historical spin
-	// sequence and simulated sweeps stay byte-identical.
-	ParkCycles uint64
 }
 
 // thread is one logical thread's scheduling state.
@@ -110,9 +98,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Threads < 1 || cfg.Threads > htm.MaxThreads {
 		return nil, fmt.Errorf("sim: Threads must be in [1,%d], got %d", htm.MaxThreads, cfg.Threads)
 	}
-	if cfg.Costs == (Costs{}) {
-		cfg.Costs = DefaultCosts()
-	}
 	var rCap, wCap int
 	if cfg.Profile.Name != "" {
 		rCap, wCap = cfg.Profile.EffectiveCapacity(cfg.Threads)
@@ -122,16 +107,16 @@ func NewEngine(cfg Config) (*Engine, error) {
 		Words:              cfg.Words,
 		ReadCapacityLines:  rCap,
 		WriteCapacityLines: wCap,
-		SpuriousEvery:      cfg.SpuriousEvery,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
+	costs := DefaultCosts()
 	e := &Engine{
 		cfg:   cfg,
 		space: space,
-		costs: cfg.Costs,
-		coh:   newCoherence(int(space.Size())/memmodel.LineWords, cfg.Threads, cfg.Costs.StreamCacheLines),
+		costs: costs,
+		coh:   newCoherence(int(space.Size())/memmodel.LineWords, cfg.Threads, costs.StreamCacheLines),
 	}
 	e.env = &Env{eng: e}
 	return e, nil

@@ -3,7 +3,6 @@ package sim
 import (
 	"sprwl/internal/env"
 	"sprwl/internal/memmodel"
-	"sprwl/internal/park"
 )
 
 // Env is the simulator's implementation of env.Env. One Env serves every
@@ -83,37 +82,6 @@ func (v *Env) Yield() {
 
 // Threads implements env.Env.
 func (v *Env) Threads() int { return v.eng.cfg.Threads }
-
-// Parker implements park.Provider. The simulator has no real parker by
-// default (Config.ParkCycles == 0): wait sites then spin exactly as they
-// did before package park existed, keeping sweeps byte-identical. A
-// nonzero ParkCycles enables the deterministic bounded-sleep model.
-func (v *Env) Parker() park.Parker {
-	if v.eng.cfg.ParkCycles == 0 {
-		return nil
-	}
-	return simParker{env: v}
-}
-
-var _ park.Provider = (*Env)(nil)
-
-// simParker models parking deterministically: a charged re-check of the
-// phase word (mirroring Table.Park's locked re-read) followed by a bounded
-// virtual-time sleep when still blocked. The caller's re-check loop parks
-// again if the wait outlasts the bound, so the model is a sequence of
-// ParkCycles-long naps rather than an unbounded sleep — Wake can therefore
-// be free and the schedule stays fully deterministic.
-type simParker struct{ env *Env }
-
-func (p simParker) Park(a memmodel.Addr, expected uint64) {
-	v := p.env
-	if v.Load(a) != expected {
-		return
-	}
-	v.WaitUntil(v.Now() + v.eng.cfg.ParkCycles)
-}
-
-func (p simParker) Wake(memmodel.Addr) {}
 
 // Attempt implements env.Env: the transaction runs on the underlying space
 // with every transactional access charged through the cost model.

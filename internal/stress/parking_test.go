@@ -7,7 +7,6 @@ import (
 
 	"sprwl/internal/core"
 	"sprwl/internal/hostile"
-	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
 	"sprwl/internal/rwlock"
 )
@@ -53,19 +52,6 @@ func parkingVariants() []variant {
 	return vs
 }
 
-// parkingLock is coreLock with the runtime's waiter table switched on.
-func parkingLock(t *testing.T, opts core.Options) (rwlock.Lock, layout, func(memmodel.Addr) uint64, int) {
-	space, err := htm.NewSpace(htm.Config{Threads: stressThreads, Words: 1 << 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := htm.NewRuntime(space, nil)
-	e.SetParking(true)
-	ar := memmodel.NewArena(0, space.Size())
-	l := core.MustNew(e, ar, stressThreads, 4, opts, nil)
-	return l, carve(ar), e.Load, parkingGoroutines - stressThreads
-}
-
 // TestStressParkingOversubscribed runs the parking matrix at 256 workers
 // on 2 procs against the sequential oracle. The CI race job runs this in
 // -short mode as its oversubscription smoke test.
@@ -90,7 +76,7 @@ func TestStressParkingOversubscribed(t *testing.T) {
 			// and two 256-goroutine herds interleaved would just thrash.
 			t.Run(fmt.Sprintf("%s/seed=%d", v.name, seed), func(t *testing.T) {
 				runStress(t, v.name, seed, nops, func() (rwlock.Lock, layout, func(memmodel.Addr) uint64, int) {
-					return parkingLock(t, v.opts)
+					return coreLock(t, v.opts, parkingGoroutines-stressThreads)
 				})
 			})
 		}

@@ -23,25 +23,20 @@ const DefaultRetries = 10
 
 // TLE is a transactional-lock-elision lock.
 type TLE struct {
-	e       env.Env
-	gl      locks.SpinMutex
-	retries int
-	pipe    *obs.Pipeline
+	e    env.Env
+	gl   locks.SpinMutex
+	pipe *obs.Pipeline
 }
 
 var _ rwlock.Lock = (*TLE)(nil)
 
-// New carves a TLE lock out of the arena. retries <= 0 selects
-// DefaultRetries; pipe may be nil to disable instrumentation.
-func New(e env.Env, ar *memmodel.Arena, retries int, pipe *obs.Pipeline) *TLE {
-	if retries <= 0 {
-		retries = DefaultRetries
-	}
+// New carves a TLE lock out of the arena; pipe may be nil to disable
+// instrumentation.
+func New(e env.Env, ar *memmodel.Arena, pipe *obs.Pipeline) *TLE {
 	return &TLE{
-		e:       e,
-		gl:      locks.NewSpinMutex(e, ar.AllocLines(1)),
-		retries: retries,
-		pipe:    pipe,
+		e:    e,
+		gl:   locks.NewSpinMutex(e, ar.AllocLines(1)),
+		pipe: pipe,
 	}
 }
 
@@ -70,7 +65,7 @@ func (h *handle) run(rw uint8, csID int, body rwlock.Body) {
 	l := h.l
 	start := l.e.Now()
 	glAddr := l.gl.Addr()
-	for attempts := 0; attempts < l.retries; {
+	for attempts := 0; attempts < DefaultRetries; {
 		waited := false
 		var t0 uint64
 		for l.gl.IsLocked() {

@@ -25,7 +25,7 @@ func setup(t *testing.T, threads int, cfg htm.Config) (*TLE, env.Env, *memmodel.
 	e := htm.NewRuntime(space, nil)
 	ar := memmodel.NewArena(0, space.Size())
 	col := stats.NewCollector(threads)
-	return New(e, ar, 0, col.Pipeline()), e, ar, col
+	return New(e, ar, col.Pipeline()), e, ar, col
 }
 
 func TestElidesInHTM(t *testing.T) {
@@ -74,15 +74,15 @@ func TestBudgetExhaustionFallsBack(t *testing.T) {
 	e := htm.NewRuntime(space, nil)
 	ar := memmodel.NewArena(0, space.Size())
 	col := stats.NewCollector(1)
-	l := New(e, ar, 3, col.Pipeline())
+	l := New(e, ar, col.Pipeline())
 	data := ar.AllocLines(1)
 	l.NewHandle(0).Write(0, func(acc memmodel.Accessor) { acc.Store(data, 1) })
 	if got := e.Load(data); got != 1 {
 		t.Fatalf("data = %d, want 1", got)
 	}
 	s := col.Snapshot()
-	if got := s.TotalAborts(stats.Writer); got != 3 {
-		t.Fatalf("aborts = %d, want the full budget of 3", got)
+	if got := s.TotalAborts(stats.Writer); got != DefaultRetries {
+		t.Fatalf("aborts = %d, want the full budget of %d", got, DefaultRetries)
 	}
 	if got := s.Commits[stats.Writer][env.ModeGL]; got != 1 {
 		t.Fatalf("GL commits = %d, want 1", got)

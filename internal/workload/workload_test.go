@@ -46,7 +46,7 @@ func TestHashmapWorkerPreservesPopulation(t *testing.T) {
 	e := htm.NewRuntime(space, nil)
 	ar := memmodel.NewArena(0, space.Size())
 	col := stats.NewCollector(2)
-	lock := tle.New(e, ar, 0, col.Pipeline())
+	lock := tle.New(e, ar, col.Pipeline())
 	hm := SetupHashmap(space, ar, cfg, 2)
 
 	step := hm.Worker(lock.NewHandle(0), 0, 7)
@@ -84,7 +84,7 @@ func TestTPCCWorkerMixRatios(t *testing.T) {
 	e := htm.NewRuntime(space, nil)
 	ar := memmodel.NewArena(0, space.Size())
 	col := stats.NewCollector(2)
-	lock := tle.New(e, ar, 0, col.Pipeline())
+	lock := tle.New(e, ar, col.Pipeline())
 	db := SetupTPCC(space, ar, scale, PaperMix(), 3)
 
 	var now uint64
@@ -109,7 +109,7 @@ func TestTPCCWorkerDeterministicInputs(t *testing.T) {
 		space := htm.MustNewSpace(htm.Config{Threads: 1, Words: TPCCWords(scale) + tleWords()})
 		e := htm.NewRuntime(space, nil)
 		ar := memmodel.NewArena(0, space.Size())
-		lock := tle.New(e, ar, 0, nil)
+		lock := tle.New(e, ar, nil)
 		db := SetupTPCC(space, ar, scale, PaperMix(), 11)
 		var now uint64
 		step := db.Worker(lock.NewHandle(0), 0, 11, func() uint64 { now++; return now })
@@ -136,7 +136,7 @@ func TestWorkerBodiesAreRetrySafe(t *testing.T) {
 	space := htm.MustNewSpace(htm.Config{Threads: 1, Words: HashmapWords(cfg) + tleWords(), SpuriousEvery: 3})
 	e := htm.NewRuntime(space, nil)
 	ar := memmodel.NewArena(0, space.Size())
-	lock := tle.New(e, ar, 2, nil)
+	lock := tle.New(e, ar, nil)
 	hm := SetupHashmap(space, ar, cfg, 1)
 	step := hm.Worker(lock.NewHandle(0), 0, 5)
 	for i := 0; i < 500; i++ {
@@ -171,7 +171,7 @@ func TestRangeScanWorkerBoundedPopulation(t *testing.T) {
 	space := htm.MustNewSpace(htm.Config{Threads: 2, Words: RangeScanWords(cfg) + tleWords()})
 	e := htm.NewRuntime(space, nil)
 	ar := memmodel.NewArena(0, space.Size())
-	lock := tle.New(e, ar, 0, nil)
+	lock := tle.New(e, ar, nil)
 	rs := SetupRangeScan(space, ar, cfg, 2)
 	if got := rs.List.Len(space); got != 512 {
 		t.Fatalf("populated %d items, want 512", got)
