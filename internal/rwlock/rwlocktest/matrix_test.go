@@ -11,6 +11,7 @@ import (
 	"sprwl/internal/core"
 	"sprwl/internal/env"
 	"sprwl/internal/hostile"
+	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
 	"sprwl/internal/rwlock"
 )
@@ -24,6 +25,20 @@ var backendAxis = []struct {
 	{"snzi", func(o *core.Options) { o.UseSNZI = true }},
 	{"bravo", func(o *core.Options) { o.UseBravo = true; o.BravoSlots = 8 }},
 	{"auto", func(o *core.Options) { o.AutoSNZI = true; o.AutoSNZIThreshold = 4096 }},
+}
+
+// capacityAxis enumerates the HTM spaces each combination runs in. The
+// two-line bound is below the footprint of every section in the suite
+// (the body's data plus the lock's subscription line), so each hardware
+// attempt aborts on capacity and every combination also completes its
+// sections on the fallback paths: the SGL for writers and the
+// uninstrumented path for readers.
+var capacityAxis = []struct {
+	suffix string
+	htm    htm.Config
+}{
+	{"", htm.Config{}},
+	{"_cap=2", htm.Config{ReadCapacityLines: 2, WriteCapacityLines: 2}},
 }
 
 // validOptionCombos enumerates every semantically valid Options value over
@@ -73,25 +88,30 @@ func validOptionCombos() []struct {
 
 // TestOptionsMatrix runs the safety core of the contract suite (mutual
 // exclusion, reader isolation, exactly-once effects) over every valid
-// options combination with short rounds.
+// options combination with short rounds, once in an unbounded HTM space
+// and once in one too small for any section to commit in hardware.
 func TestOptionsMatrix(t *testing.T) {
-	// One leak baseline over all 96 combos: cleanup runs after the last
-	// sequential subtest, when any stranded waiter is unambiguous.
+	// One leak baseline over all 192 runs (96 combos in each of the two
+	// HTM spaces): cleanup runs after the last sequential subtest, when
+	// any stranded waiter is unambiguous.
 	hostile.LeakCheck(t)
 	combos := validOptionCombos()
-	cfg := Config{Threads: 4, Rounds: 12}
+	rounds := 12
 	if testing.Short() {
-		cfg.Rounds = 6
+		rounds = 6
 	}
-	for _, c := range combos {
-		opts := c.opts
-		t.Run(c.name, func(t *testing.T) {
-			f := func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
-				return core.MustNew(e, ar, threads, 4, opts, nil)
-			}
-			writerMutualExclusion(t, f, cfg)
-			readerIsolation(t, f, cfg)
-			effectsOnce(t, f, cfg)
-		})
+	for _, space := range capacityAxis {
+		cfg := Config{Threads: 4, Rounds: rounds, HTMConfig: space.htm}
+		for _, c := range combos {
+			opts := c.opts
+			t.Run(c.name+space.suffix, func(t *testing.T) {
+				f := func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
+					return core.MustNew(e, ar, threads, 4, opts, nil)
+				}
+				writerMutualExclusion(t, f, cfg)
+				readerIsolation(t, f, cfg)
+				effectsOnce(t, f, cfg)
+			})
+		}
 	}
 }
