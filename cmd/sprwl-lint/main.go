@@ -49,8 +49,6 @@ import (
 	"sprwl/internal/analysis/driver"
 	"sprwl/internal/analysis/fenceorder"
 	"sprwl/internal/analysis/hotpathalloc"
-	"sprwl/internal/analysis/lockorder"
-	"sprwl/internal/analysis/spanleak"
 )
 
 var analyzers = []*driver.Analyzer{
@@ -59,8 +57,6 @@ var analyzers = []*driver.Analyzer{
 	doomedread.Analyzer,
 	fenceorder.Analyzer,
 	hotpathalloc.Analyzer,
-	lockorder.Analyzer,
-	spanleak.Analyzer,
 }
 
 // finding is one diagnostic in the -json report.

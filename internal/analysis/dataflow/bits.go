@@ -9,8 +9,6 @@
 // must-fact and cannot kill a may-fact).
 package dataflow
 
-import "math/bits"
-
 // Bits is a fixed-width bitset. The zero value is unusable; allocate with
 // NewBits.
 type Bits []uint64
@@ -46,9 +44,6 @@ func (b Bits) Clone() Bits {
 	return c
 }
 
-// CopyFrom overwrites b with o.
-func (b Bits) CopyFrom(o Bits) { copy(b, o) }
-
 // And intersects o into b, reporting whether b changed.
 func (b Bits) And(o Bits) bool {
 	changed := false
@@ -83,24 +78,4 @@ func (b Bits) Equal(o Bits) bool {
 		}
 	}
 	return true
-}
-
-// Count returns the number of set bits.
-func (b Bits) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// ForEach calls f for every set bit in ascending order.
-func (b Bits) ForEach(f func(i int)) {
-	for wi, w := range b {
-		for w != 0 {
-			i := bits.TrailingZeros64(w)
-			f(wi*64 + i)
-			w &^= 1 << i
-		}
-	}
 }

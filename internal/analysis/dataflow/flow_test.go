@@ -18,8 +18,8 @@ func TestBits(t *testing.T) {
 	if !b.Has(0) || !b.Has(65) || b.Has(64) {
 		t.Fatal("set/has broken")
 	}
-	if b.Count() != 2 {
-		t.Fatalf("count = %d", b.Count())
+	if len(members(b)) != 2 {
+		t.Fatalf("count = %d", len(members(b)))
 	}
 	b.Clear(65)
 	if b.Has(65) {
@@ -27,12 +27,11 @@ func TestBits(t *testing.T) {
 	}
 	top := NewBits(70)
 	top.Fill(70)
-	if top.Count() != 70 {
-		t.Fatalf("fill count = %d", top.Count())
+	if len(members(top)) != 70 {
+		t.Fatalf("fill count = %d", len(members(top)))
 	}
-	var got []int
 	b.Set(3)
-	b.ForEach(func(i int) { got = append(got, i) })
+	got := members(b)
 	if len(got) != 2 || got[0] != 0 || got[1] != 3 {
 		t.Fatalf("foreach = %v", got)
 	}
@@ -41,13 +40,24 @@ func TestBits(t *testing.T) {
 		t.Fatal("clone/equal broken")
 	}
 	c.Or(top)
-	if c.Count() != 70 {
+	if len(members(c)) != 70 {
 		t.Fatal("or broken")
 	}
 	c.And(b)
 	if !c.Equal(b) {
 		t.Fatal("and broken")
 	}
+}
+
+// members lists b's set bits in ascending order.
+func members(b Bits) []int {
+	var out []int
+	for i := 0; i < len(b)*64; i++ {
+		if b.Has(i) {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // buildCFG parses a body and returns its graph plus the fileset.
@@ -406,8 +416,8 @@ func f(c bool) {
 		t.Fatal("no use call")
 	}
 	reaching := r.At(useBlock, useCall)
-	if reaching.Count() != 2 {
-		t.Fatalf("both defs of x should reach use, got %d", reaching.Count())
+	if len(members(reaching)) != 2 {
+		t.Fatalf("both defs of x should reach use, got %d", len(members(reaching)))
 	}
 }
 
@@ -442,11 +452,10 @@ func f() {
 		}
 	}
 	reaching := r.At(useBlock, useCall)
-	if reaching.Count() != 1 {
-		t.Fatalf("rebind kills the first def, got %d reaching", reaching.Count())
+	if len(members(reaching)) != 1 {
+		t.Fatalf("rebind kills the first def, got %d reaching", len(members(reaching)))
 	}
-	var which *Def
-	reaching.ForEach(func(i int) { which = r.Defs[i] })
+	which := r.Defs[members(reaching)[0]]
 	if id, ok := which.RHS.(*ast.CallExpr); !ok {
 		t.Fatal("reaching def should be the alt() assignment")
 	} else if fn, ok := id.Fun.(*ast.Ident); !ok || fn.Name != "alt" {
@@ -484,8 +493,8 @@ func f() {
 		}
 	}
 	reaching := r.At(useBlock, useCall)
-	if reaching.Count() != 2 {
-		t.Fatalf("compound assign preserves the prior def, got %d reaching", reaching.Count())
+	if len(members(reaching)) != 2 {
+		t.Fatalf("compound assign preserves the prior def, got %d reaching", len(members(reaching)))
 	}
 }
 

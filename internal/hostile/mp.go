@@ -183,7 +183,6 @@ func (w *MPWorker) tick() error {
 func (w *MPWorker) write(e env.Env, seq, delta uint64, crashHere bool) error {
 	// Acquire with recovery: a dead holder never unlocks, so Lock() is
 	// forbidden — TryLock and watch for a corpse.
-	//sprwl:allow(spanleak) deliberate: the deadline return inside the spin loop runs only while TryLock keeps failing (lock not held), and the crash-injection paths die holding the lock by design — recovery, not release, is the protocol
 	for tries := 0; !w.lk.TryLock(); tries++ {
 		if tries%256 == 255 {
 			w.maybeRecover()

@@ -1,11 +1,10 @@
 package locktable
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"sprwl/internal/memmodel"
 )
@@ -172,16 +171,9 @@ func TestAcquireNStress(t *testing.T) {
 		for w := range plans {
 			plans[w] = planOps(seed, w, nops)
 		}
-		var wg sync.WaitGroup
-		for w := 0; w < stressSlots; w++ {
-			h := st.tbl.NewHandle(w)
-			wg.Add(1)
-			go func(w int, h *Handle) {
-				defer wg.Done()
-				runStressWorker(t, st, h, plans[w])
-			}(w, h)
-		}
-		wg.Wait()
+		finishAll(t, stressSlots, fmt.Sprintf("seed %d: stress workers", seed), func(w int) {
+			runStressWorker(t, st, st.tbl.NewHandle(w), plans[w])
+		})
 
 		// Sequential oracle: sums of planned deltas per lane.
 		var wantG [spanGroups]uint64
@@ -219,9 +211,9 @@ func TestAcquireNStress(t *testing.T) {
 // every worker repeatedly spans a random-width subset of per-shard keys
 // named in a random permutation, so every pair of concurrent spans names
 // overlapping shards in conflicting argument orders. The sort-then-lock
-// step inside AcquireN (acquireMarked's ascending bitmap scan — the
-// mechanized lockorder L2 invariant) is the only thing standing between
-// this schedule and an AB/BA deadlock, which the wall-clock guard converts
+// step inside AcquireN (acquireMarked's ascending bitmap scan) is the only
+// thing standing between this schedule and an AB/BA deadlock, and this
+// test is the check that it holds: the wall-clock guard turns a deadlock
 // into a test failure instead of a hung run.
 //
 // Two random spans may name disjoint shards, so nothing serializes them
@@ -248,59 +240,46 @@ func TestRandomOrderSpanFuzz(t *testing.T) {
 	}
 
 	writes := make([][fuzzShards]int, fuzzWorkers)
-	done := make(chan int, fuzzWorkers)
-	for g := 0; g < fuzzWorkers; g++ {
-		go func(g int) {
-			rng := rand.New(rand.NewSource(int64(g)*104729 + 1))
-			h := tbl.NewHandle(g)
-			span := make([]uint64, 0, fuzzMaxW)
-			for i := 0; i < iters; i++ {
-				// A random permutation's prefix is a uniform random subset
-				// in uniform random order: maximal order conflict between
-				// concurrent workers.
-				w := 2 + rng.Intn(fuzzMaxW-1)
-				shards := rng.Perm(fuzzShards)[:w]
-				span = span[:0]
-				for _, s := range shards {
-					span = append(span, keys[s])
-				}
-				if rng.Intn(4) == 0 {
-					h.ReadN(span, 0, func(acc memmodel.Accessor) {
-						for _, s := range shards {
-							acc.Load(counters[s])
-						}
-					})
-				} else {
-					for _, s := range shards {
-						writes[g][s]++
-					}
-					h.WriteN(span, 0, func(acc memmodel.Accessor) {
-						var seen [fuzzMaxW]uint64
-						for i, s := range shards {
-							seen[i] = acc.Load(counters[s])
-						}
-						// Widen the read-modify-write window so a
-						// second writer on any of these shards would
-						// lose an increment.
-						runtime.Gosched()
-						for i, s := range shards {
-							acc.Store(counters[s], seen[i]+1)
-						}
-					})
-				}
+	finishAll(t, fuzzWorkers, "randomized-order spans", func(g int) {
+		rng := rand.New(rand.NewSource(int64(g)*104729 + 1))
+		h := tbl.NewHandle(g)
+		span := make([]uint64, 0, fuzzMaxW)
+		for i := 0; i < iters; i++ {
+			// A random permutation's prefix is a uniform random subset
+			// in uniform random order: maximal order conflict between
+			// concurrent workers.
+			w := 2 + rng.Intn(fuzzMaxW-1)
+			shards := rng.Perm(fuzzShards)[:w]
+			span = span[:0]
+			for _, s := range shards {
+				span = append(span, keys[s])
 			}
-			done <- g
-		}(g)
-	}
-
-	timeout := time.After(90 * time.Second)
-	for n := 0; n < fuzzWorkers; n++ {
-		select {
-		case <-done:
-		case <-timeout:
-			t.Fatal("randomized-order spans deadlocked")
+			if rng.Intn(4) == 0 {
+				h.ReadN(span, 0, func(acc memmodel.Accessor) {
+					for _, s := range shards {
+						acc.Load(counters[s])
+					}
+				})
+			} else {
+				for _, s := range shards {
+					writes[g][s]++
+				}
+				h.WriteN(span, 0, func(acc memmodel.Accessor) {
+					var seen [fuzzMaxW]uint64
+					for i, s := range shards {
+						seen[i] = acc.Load(counters[s])
+					}
+					// Widen the read-modify-write window so a
+					// second writer on any of these shards would
+					// lose an increment.
+					runtime.Gosched()
+					for i, s := range shards {
+						acc.Store(counters[s], seen[i]+1)
+					}
+				})
+			}
 		}
-	}
+	})
 	for s, a := range counters {
 		var want uint64
 		for g := range writes {
