@@ -1,5 +1,5 @@
 // Package astq holds the small AST/type query helpers shared by every
-// analyzer and by the cfg/dataflow/callgraph layers: static-callee
+// analyzer and by the callgraph layer: static-callee
 // resolution, parameter typing under variadics, and capture tests for
 // function literals. Before this package each analyzer carried its own
 // copy; keeping one implementation means one place to fix the subtle
@@ -31,18 +31,6 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// CalleeName returns the bare name of the called function or method, or ""
-// for calls through computed expressions.
-func CalleeName(call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
 }
 
 // ParamType returns the static type of the i-th argument's parameter,
@@ -139,14 +127,4 @@ func IsNamed(t types.Type, pkgSuffix, name string) bool {
 	path := obj.Pkg().Path()
 	return path == pkgSuffix || len(path) > len(pkgSuffix) &&
 		path[len(path)-len(pkgSuffix)-1] == '/' && path[len(path)-len(pkgSuffix):] == pkgSuffix
-}
-
-// PanicsOnly reports whether call is the panic builtin.
-func PanicsOnly(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "panic"
 }

@@ -1,4 +1,4 @@
-package dataflow
+package bodyidempotent
 
 import (
 	"go/ast"
@@ -8,7 +8,7 @@ import (
 	"sprwl/internal/analysis/astq"
 )
 
-// CapturedAliases computes a conservative map from each variable assigned
+// capturedAliases computes a conservative map from each variable assigned
 // inside lit to the set of CAPTURED variables whose storage it may alias.
 // It is a flow-insensitive may-alias lattice: for every assignment
 // v = rhs, v inherits the alias sets of every variable whose storage rhs
@@ -16,9 +16,8 @@ import (
 // — pointers, slices, maps, channels, funcs, interfaces — rooted at a
 // variable), iterated to fixpoint. Values that pass through calls are NOT
 // tracked; a helper that launders a captured pointer through a function
-// result defeats this analysis, which is why analyzers pair it with the
-// call graph's transitive side-effect checks.
-func CapturedAliases(info *types.Info, lit *ast.FuncLit) map[*types.Var]map[*types.Var]bool {
+// result defeats this analysis.
+func capturedAliases(info *types.Info, lit *ast.FuncLit) map[*types.Var]map[*types.Var]bool {
 	// edges[v] = vars whose storage v may share, gathered syntactically.
 	edges := make(map[*types.Var]map[*types.Var]bool)
 	addEdge := func(v, r *types.Var) {
@@ -106,7 +105,7 @@ func refRoots(info *types.Info, rhs ast.Expr) []*types.Var {
 	ast.Inspect(rhs, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			// Call results are not tracked (see CapturedAliases doc);
+			// Call results are not tracked (see capturedAliases doc);
 			// arguments do not flow into the assigned value directly.
 			return false
 		case *ast.FuncLit:

@@ -41,7 +41,6 @@ import (
 	"go/types"
 
 	"sprwl/internal/analysis/astq"
-	"sprwl/internal/analysis/dataflow"
 	"sprwl/internal/analysis/driver"
 )
 
@@ -159,7 +158,7 @@ func checkBody(pass *driver.Pass, lit *ast.FuncLit) {
 		pass:         pass,
 		info:         pass.Pkg.Info,
 		lit:          lit,
-		aliases:      dataflow.CapturedAliases(pass.Pkg.Info, lit),
+		aliases:      capturedAliases(pass.Pkg.Info, lit),
 		writeSites:   make(map[*types.Var]token.Pos),
 		readVars:     make(map[*types.Var]bool),
 		writeLHS:     make(map[*ast.Ident]bool),

@@ -55,7 +55,7 @@ type Graph struct {
 }
 
 // Build scans pkgs and returns their call graph. prog may be nil; it is
-// only used by SourceOf to locate declared-function bodies.
+// only used to record the loaded package of each declared callee.
 func Build(prog *driver.Program, pkgs []*driver.Package) *Graph {
 	g := &Graph{
 		prog:       prog,
@@ -361,18 +361,4 @@ func (g *Graph) ResolveCall(info *types.Info, call *ast.CallExpr) ([]Callee, boo
 		return []Callee{g.funcCallee(fn)}, true
 	}
 	return g.ValuesOf(info, call.Fun)
-}
-
-// SourceOf locates the body of a callee when its source is loaded: the
-// literal itself, or the declared function's body via the Program index.
-func (g *Graph) SourceOf(c Callee) (*ast.BlockStmt, *driver.Package) {
-	if c.Lit != nil {
-		return c.Lit.Body, c.Pkg
-	}
-	if c.Func != nil && g.prog != nil {
-		if src, ok := g.prog.FuncSource(c.Func); ok {
-			return src.Decl.Body, src.Pkg
-		}
-	}
-	return nil, nil
 }

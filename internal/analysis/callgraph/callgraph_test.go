@@ -237,8 +237,8 @@ func f() {
 }
 
 func TestValuesOfArgument(t *testing.T) {
-	// doomedread's entry discovery: resolve the function value passed as
-	// an argument (env.Attempt(slot, opts, h.txRead)).
+	// Resolve the function value passed as an argument, the shape of
+	// core's transaction entry (env.Attempt(slot, opts, h.txRead)).
 	pkg := load(t, `
 package p
 type handle struct {

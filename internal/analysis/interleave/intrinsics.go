@@ -15,7 +15,8 @@ import (
 //     env.Env memory (whose Load/Store/CAS/Add *are* the atomic steps),
 //     the observability ring, the contention estimator, and the
 //     park.Waiter spin-vs-park heuristic (which becomes a
-//     nondeterministic OpChoice so the checker covers both outcomes).
+//     nondeterministic OpChoice so the checker covers both outcomes, or
+//     an OpSpin when the waiter has no parker).
 //  3. Everything else inlines from source. Interface calls (park.Parker)
 //     resolve through the bound object's concrete type.
 //
@@ -269,7 +270,8 @@ func (f *frame) envMethod(call *ast.CallExpr, name string) (*absVal, error) {
 // waiterMethod lowers park.Waiter: the spin-budget bookkeeping is
 // thread-local heuristics, so Pause becomes a nondeterministic choice
 // between spinning (fall through to the caller's re-check loop) and the
-// real inlined park.Table.Park.
+// real inlined park.Table.Park. A waiter with no parker can only spin; its
+// Pause is an OpSpin, which waits for another thread's write.
 func (f *frame) waiterMethod(call *ast.CallExpr, o *object, name string) (*absVal, error) {
 	switch name {
 	case "Pause":
@@ -293,12 +295,10 @@ func (f *frame) waiterMethod(call *ast.CallExpr, o *object, name string) (*absVa
 			return nil, f.errAt(call, "non-numeric Pause args")
 		}
 		p, ok := o.fields["P"]
-		if !ok || p.obj == nil || p.obj.isNil {
-			// No parker: Pause only spins, which the caller's re-check
-			// loop already models.
-			return nil, nil
-		}
-		if f.skipCall("Table.Park") {
+		if !ok || p.obj == nil || p.obj.isNil || f.skipCall("Table.Park") {
+			// No parker: Pause only spins, and the caller's loop re-checks
+			// once some other thread has changed memory.
+			f.lo.emit(Instr{Op: OpSpin, Note: "spin"})
 			return nil, nil
 		}
 		pc := f.lo.emit(Instr{Op: OpChoice, Note: "spin-or-park"})

@@ -62,6 +62,9 @@ type threadState struct {
 	sect   int8   // -1 outside, 0 reader section, 1 writer section
 	regs   []uint64
 	buf    []bufEntry // TSO store buffer, oldest first
+	// dirty: another thread changed a shared cell since this thread's
+	// last OpSpin (tracked only for threads whose program spins).
+	dirty bool
 }
 
 // machState is one explored state. Threads are always normalized: pc
@@ -107,7 +110,7 @@ func (s *machState) hash() [2]uint64 {
 	}
 	for i := range s.thr {
 		t := &s.thr[i]
-		mix(uint64(t.pc)<<16 | uint64(t.status)<<8 | uint64(uint8(t.sect)))
+		mix(uint64(t.pc)<<17 | boolTo(t.dirty)<<16 | uint64(t.status)<<8 | uint64(uint8(t.sect)))
 		mix(t.wait)
 		for _, r := range t.regs {
 			mix(r)
@@ -156,6 +159,10 @@ type access struct {
 // bracketing is globally ordered so the mutual-exclusion check is exact.
 const csCell = ^uint64(0)
 
+// anyCell is the pseudo-cell an OpSpin reads: it stands for every shared
+// cell, since a write to any of them can enable the spin.
+const anyCell = csCell - 1
+
 // ViolationKind classifies checker findings.
 type ViolationKind string
 
@@ -181,6 +188,9 @@ type machine struct {
 	m      *Model
 	sem    Sem
 	maxBuf int
+	// spins marks the threads whose program contains an OpSpin: only
+	// their dirty bits are ever read, so only they get one.
+	spins []bool
 }
 
 func newMachine(m *Model, sem Sem) *machine {
@@ -188,7 +198,13 @@ func newMachine(m *Model, sem Sem) *machine {
 	if mb <= 0 {
 		mb = DefaultMaxBuf
 	}
-	return &machine{m: m, sem: sem, maxBuf: mb}
+	spins := make([]bool, len(m.Threads))
+	for i, th := range m.Threads {
+		for _, in := range th.Prog.Code {
+			spins[i] = spins[i] || in.Op == OpSpin
+		}
+	}
+	return &machine{m: m, sem: sem, maxBuf: mb, spins: spins}
 }
 
 func (mc *machine) initState() (*machState, *stepViol) {
@@ -272,11 +288,23 @@ func (mc *machine) bufLoad(s *machState, i int, addr uint64) uint64 {
 	return 0
 }
 
+// write stores val to memory on thread i's behalf. A change of value
+// marks every other spinning thread dirty, enabling its next OpSpin.
+func (mc *machine) write(s *machState, i int, addr, val uint64) {
+	if addr >= uint64(len(s.mem)) || s.mem[addr] == val {
+		return
+	}
+	s.mem[addr] = val
+	for j, spins := range mc.spins {
+		if spins && j != i {
+			s.thr[j].dirty = true
+		}
+	}
+}
+
 func (mc *machine) flushAll(s *machState, i int) {
 	for _, e := range s.thr[i].buf {
-		if e.addr < uint64(len(s.mem)) {
-			s.mem[e.addr] = e.val
-		}
+		mc.write(s, i, e.addr, e.val)
 	}
 	s.thr[i].buf = s.thr[i].buf[:0]
 }
@@ -301,6 +329,10 @@ func (mc *machine) enabled(s *machState) []transition {
 				out = append(out, transition{i, tChoiceA}, transition{i, tChoiceB})
 			case OpMutexLock:
 				if addr := in.Loc.Eval(t.regs); addr < uint64(len(s.mem)) && s.mem[addr] == 0 {
+					out = append(out, transition{i, tStep})
+				}
+			case OpSpin:
+				if t.dirty {
 					out = append(out, transition{i, tStep})
 				}
 			default:
@@ -357,6 +389,8 @@ func (mc *machine) footprint(s *machState, tr transition) []access {
 		out = append(out, access{in.Loc.Eval(t.regs), true})
 	case OpCsEnter, OpCsExit:
 		out = append(out, access{csCell, true})
+	case OpSpin:
+		out = append(out, access{anyCell, false})
 	case OpHalt:
 		addFlush()
 	}
@@ -364,11 +398,16 @@ func (mc *machine) footprint(s *machState, tr transition) []access {
 }
 
 // dependent reports whether two transitions' footprints conflict (share a
-// cell with at least one write).
+// cell with at least one write). An OpSpin's anyCell read conflicts with
+// every write to shared memory.
 func dependent(a, b []access) bool {
 	for _, x := range a {
 		for _, y := range b {
 			if x.addr == y.addr && (x.write || y.write) {
+				return true
+			}
+			if (x.addr == anyCell && y.write && y.addr != csCell) ||
+				(y.addr == anyCell && x.write && x.addr != csCell) {
 				return true
 			}
 		}
@@ -396,11 +435,7 @@ func (mc *machine) apply(s *machState, tr transition) (*machState, *stepViol, Tr
 	name := mc.m.Threads[i].Name
 	ts := TraceStep{Thread: i, Name: name, PC: t.pc}
 
-	store := func(addr, val uint64) {
-		if addr < uint64(len(n.mem)) {
-			n.mem[addr] = val
-		}
-	}
+	store := func(addr, val uint64) { mc.write(n, i, addr, val) }
 
 	switch tr.kind {
 	case tFlush:
@@ -475,7 +510,7 @@ func (mc *machine) apply(s *machState, tr transition) (*machState, *stepViol, Tr
 		var nv uint64
 		if addr < uint64(len(n.mem)) {
 			nv = n.mem[addr] + d
-			n.mem[addr] = nv
+			store(addr, nv)
 		}
 		t.regs[in.Dst] = nv
 		ts.Desc = fmt.Sprintf("rmw-add %s += %d -> %d", mc.m.CellName(addr), int64(d), nv)
@@ -488,7 +523,7 @@ func (mc *machine) apply(s *machState, tr transition) (*machState, *stepViol, Tr
 		nv := in.Val.Eval(t.regs)
 		ok := uint64(0)
 		if addr < uint64(len(n.mem)) && n.mem[addr] == old {
-			n.mem[addr] = nv
+			store(addr, nv)
 			ok = 1
 		}
 		t.regs[in.Dst] = ok
@@ -547,6 +582,9 @@ func (mc *machine) apply(s *machState, tr transition) (*machState, *stepViol, Tr
 	case OpCsExit:
 		t.sect = -1
 		ts.Desc = "exit " + roleName(in.Val.Eval(t.regs)) + " section"
+	case OpSpin:
+		t.dirty = false
+		ts.Desc = "spin: memory changed, re-check"
 	case OpHalt:
 		if mc.sem == SemTSO {
 			mc.flushAll(n, i)
@@ -581,16 +619,22 @@ func roleName(r uint64) string {
 }
 
 // classifyStuck describes a state with no enabled transition: a sleeping
-// thread means its wakeup was lost; otherwise it is a deadlock.
+// thread means its wakeup was lost (also when the thread that should wake
+// it spins on a word nobody will change); otherwise it is a deadlock.
 func (mc *machine) classifyStuck(s *machState) *stepViol {
 	var sleepers, blocked []string
 	for i := range s.thr {
-		switch s.thr[i].status {
+		t := &s.thr[i]
+		switch t.status {
 		case tsSleep:
-			sleepers = append(sleepers, fmt.Sprintf("%s parked on %s", mc.m.Threads[i].Name, mc.m.CellName(s.thr[i].wait)))
+			sleepers = append(sleepers, fmt.Sprintf("%s parked on %s", mc.m.Threads[i].Name, mc.m.CellName(t.wait)))
 		case tsHalted:
 		default:
-			blocked = append(blocked, mc.m.Threads[i].Name)
+			name := mc.m.Threads[i].Name
+			if in := &mc.m.Threads[i].Prog.Code[t.pc]; t.status == tsRun && in.Op == OpSpin {
+				name += " spinning at " + in.Pos
+			}
+			blocked = append(blocked, name)
 		}
 	}
 	if len(sleepers) > 0 {

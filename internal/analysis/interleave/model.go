@@ -27,8 +27,9 @@
 //     sleep-set partial-order reduction and visited-state hashing,
 //     checking safety (mutual exclusion, torn section bodies, assertion
 //     failures) and bounded liveness (no stuck state other than the
-//     accepted all-halted terminals — a parked waiter whose wake was lost
-//     shows up as exactly such a stuck state), and reconstructs a
+//     accepted all-halted terminals — a parked waiter whose wake was lost,
+//     or a spin-only wait no other thread's write can end, shows up as
+//     exactly such a stuck state), and reconstructs a
 //     minimized counterexample trace on violation.
 //
 // Shipped protocol configurations live in configs.go, hand-built litmus
@@ -288,6 +289,16 @@ const (
 	// covers every possible outcome of the heuristic.
 	OpChoice
 
+	// OpSpin is one pause of a wait loop that can only spin
+	// (park.Waiter.Pause with no parker). It is enabled only after
+	// another thread changed a shared cell since this thread's previous
+	// OpSpin: the loop between two pauses only re-reads shared memory,
+	// so with nothing changed the re-check would repeat itself forever.
+	// A spinner nothing can release is therefore blocked, and a stuck
+	// state shows it instead of an endless loop the visited-state table
+	// silently folds away.
+	OpSpin
+
 	// OpCsEnter/OpCsExit bracket a critical-section body; Val is the
 	// role (0 = reader, 1 = writer). The machine maintains live
 	// reader/writer counts from these markers and flags any state with a
@@ -305,7 +316,7 @@ var opNames = [...]string{
 	OpTrap: "trap", OpLoad: "load", OpStore: "store", OpRMWAdd: "rmw-add",
 	OpCAS: "cas", OpMutexLock: "mutex-lock", OpMutexUnlock: "mutex-unlock",
 	OpCondWait: "cond-wait", OpCondBroadcast: "cond-broadcast",
-	OpChoice: "choice", OpCsEnter: "cs-enter", OpCsExit: "cs-exit", OpHalt: "halt",
+	OpChoice: "choice", OpSpin: "spin", OpCsEnter: "cs-enter", OpCsExit: "cs-exit", OpHalt: "halt",
 }
 
 // Name returns the step kind's display name.

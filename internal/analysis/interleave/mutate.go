@@ -34,6 +34,20 @@ var mutations = []Mutation{
 		tm:     threadMut{applyTo: "W", skipCalls: []string{"finishWrite>Hub.Wake"}},
 	},
 	{
+		Name:   "drop-reg-wake",
+		Config: "vsgl-1r1w",
+		Desc:   "delete the reader's wake after its §3.3 registration store: the writer parks on the registration word while the reader spins on the lock word",
+		Expect: map[Sem]ViolationKind{SemSC: ViolLostWake, SemTSO: ViolLostWake},
+		tm:     threadMut{applyTo: "R", skipCalls: []string{"flagReaderAndSyncGL>Hub.Wake"}},
+	},
+	{
+		Name:   "drop-retire-wake",
+		Config: "vsgl-1r1w",
+		Desc:   "delete flagReader's wake after retiring the §3.3 registration: the writer parked on the registration word sleeps forever",
+		Expect: map[Sem]ViolationKind{SemSC: ViolLostWake, SemTSO: ViolLostWake},
+		tm:     threadMut{applyTo: "R", skipCalls: []string{"flagReader>Hub.Wake"}},
+	},
+	{
 		Name:   "handshake-drop-wake",
 		Config: "park-handshake",
 		Desc:   "delete the waker's Table.Wake after the phase store: the parked waiter is never broadcast",

@@ -13,6 +13,9 @@
 //   - reader progress under a continuous stream of writers;
 //   - body retry discipline (bodies may run multiple times, but effects
 //     commit exactly once).
+//
+// Each probe's concurrent phase runs under a wall-clock guard, so a lock
+// that hangs fails the named probe within seconds.
 package rwlocktest
 
 import (
@@ -20,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sprwl/internal/env"
 	"sprwl/internal/hostile"
@@ -71,9 +75,40 @@ func Run(t *testing.T, f Factory, cfg Config) {
 	t.Run("EffectsCommitExactlyOnce", func(t *testing.T) { effectsOnce(t, f, cfg) })
 }
 
+// probeGuard bounds a probe's concurrent phase. Every probe finishes in
+// well under a second, -race included. A lock that strands a reader flag
+// or loses a wake never returns; the guard turns that hang into a failure
+// naming the probe, where go test's -timeout would kill the whole run.
+const probeGuard = 10 * time.Second
+
+// hung records that a probe overran its guard. Its goroutines stay blocked
+// or spinning for the rest of the test binary, so build fails every later
+// probe at once instead of letting it time out behind them.
+var hung atomic.Bool
+
+// guard runs f on its own goroutine and fails t if f has not returned
+// within probeGuard. f may report with t.Error but must not call t.Fatal.
+func guard(t *testing.T, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(probeGuard):
+		hung.Store(true)
+		t.Fatalf("still blocked after %v", probeGuard)
+	}
+}
+
 // build sets up a fresh environment and lock.
 func build(t *testing.T, f Factory, cfg Config) (rwlock.Lock, env.Env, *memmodel.Arena) {
 	t.Helper()
+	if hung.Load() {
+		t.Fatal("not run: an earlier probe hung and its goroutines still run")
+	}
 	hc := cfg.HTMConfig
 	hc.Threads = cfg.Threads
 	if hc.Words == 0 {
@@ -107,7 +142,7 @@ func writerMutualExclusion(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	wg.Wait()
+	guard(t, wg.Wait)
 	if got, want := e.Load(ctr), uint64(cfg.Threads*cfg.Rounds); got != want {
 		t.Fatalf("%s: counter = %d, want %d (lost updates)", l.Name(), got, want)
 	}
@@ -145,7 +180,7 @@ func readerIsolation(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	wg.Wait()
+	guard(t, wg.Wait)
 }
 
 func readersOverlap(t *testing.T, f Factory, cfg Config) {
@@ -178,7 +213,7 @@ func readersOverlap(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	wg.Wait()
+	guard(t, wg.Wait)
 	if maxActive.Load() < 2 {
 		t.Fatalf("%s: readers never overlapped", l.Name())
 	}
@@ -203,12 +238,14 @@ func writerProgress(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	h := l.NewHandle(0)
-	for i := 0; i < 30; i++ { // the test timeout is the starvation detector
-		h.Write(1, func(acc memmodel.Accessor) {})
-	}
-	close(stop)
-	wg.Wait()
+	guard(t, func() { // the guard is the starvation detector
+		h := l.NewHandle(0)
+		for i := 0; i < 30; i++ {
+			h.Write(1, func(acc memmodel.Accessor) {})
+		}
+		close(stop)
+		wg.Wait()
+	})
 }
 
 func readerProgress(t *testing.T, f Factory, cfg Config) {
@@ -231,12 +268,14 @@ func readerProgress(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	h := l.NewHandle(0)
-	for i := 0; i < 30; i++ {
-		h.Read(1, func(acc memmodel.Accessor) { _ = acc.Load(data) })
-	}
-	close(stop)
-	wg.Wait()
+	guard(t, func() {
+		h := l.NewHandle(0)
+		for i := 0; i < 30; i++ {
+			h.Read(1, func(acc memmodel.Accessor) { _ = acc.Load(data) })
+		}
+		close(stop)
+		wg.Wait()
+	})
 }
 
 func effectsOnce(t *testing.T, f Factory, cfg Config) {
@@ -258,7 +297,7 @@ func effectsOnce(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	wg.Wait()
+	guard(t, wg.Wait)
 	if got, want := e.Load(ctr), uint64(cfg.Threads*cfg.Rounds); got != want {
 		t.Fatalf("%s: counter = %d, want %d (re-executed effects leaked)", l.Name(), got, want)
 	}
