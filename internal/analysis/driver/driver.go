@@ -1,266 +1,18 @@
-// Package driver is a dependency-free miniature of the golang.org/x/tools
-// go/analysis framework, sized for this repository: Analyzer values hold a
-// Run function over a type-checked package (Pass), a Program loads module
-// packages offline (stdlib is type-checked from GOROOT source), and the
-// shared //sprwl:allow(<analyzer>) suppression directive is implemented
-// once here for every analyzer.
-//
-// The repository's concurrency and hot-path invariants — flag-before-check
-// fence ordering, idempotent transaction bodies, allocation-free emulation
-// hot paths — are convention-enforced and survive refactoring only if they
-// are machine-checked; this driver is what cmd/sprwl-lint and the
-// analysistest golden suites run on.
+// Package driver is the offline package loader behind sprwl-model: it
+// parses and type-checks module packages with go/parser and go/types
+// (standard-library imports are type-checked from GOROOT source), so the
+// model extractor in package interleave can read the //sprwl:model
+// functions without any dependency outside the standard library.
 package driver
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
-	"sort"
 	"strings"
 )
 
-// Analyzer is one static check: a name (used in diagnostics and in
-// //sprwl:allow directives), documentation, and a Run function invoked once
-// per package.
-type Analyzer struct {
-	// Name identifies the analyzer; it is the argument accepted by the
-	// //sprwl:allow(...) suppression directive.
-	Name string
-	// Doc describes what the analyzer enforces and where the invariant
-	// comes from.
-	Doc string
-	// Run reports diagnostics for one package through pass.Reportf.
-	Run func(pass *Pass) error
-}
-
-// Diagnostic is one reported invariant violation.
-type Diagnostic struct {
-	Pos      token.Pos
-	Message  string
-	Analyzer *Analyzer
-}
-
-// Pass carries one analyzer's view of one package.
-type Pass struct {
-	Analyzer *Analyzer
-	Prog     *Program
-	Pkg      *Package
-	Fset     *token.FileSet
-
-	diags *[]Diagnostic
-}
-
-// Reportf records a diagnostic at pos.
-func (pass *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*pass.diags = append(*pass.diags, Diagnostic{
-		Pos:      pos,
-		Message:  fmt.Sprintf(format, args...),
-		Analyzer: pass.Analyzer,
-	})
-}
-
-// Result is the outcome of a RunAnalyzers call.
-type Result struct {
-	// Diagnostics are the surviving (non-suppressed) findings, sorted by
-	// position.
-	Diagnostics []Diagnostic
-	// Suppressed are findings silenced by an //sprwl:allow directive.
-	Suppressed []Diagnostic
-	// StaleAllows are //sprwl:allow directives in the analyzed packages
-	// that silenced nothing in this run. A suppression is a standing claim
-	// that a finding exists and is deliberate; once the finding is gone
-	// (the code changed, or the analyzer learned the pattern) the
-	// directive is debt and must be deleted — cmd/sprwl-lint treats these
-	// as errors. Directives in dependency packages that were loaded but
-	// not analyzed are not judged: their findings were never generated.
-	StaleAllows []Allow
-}
-
-// Allow is one //sprwl:allow directive site.
-type Allow struct {
-	Pos   token.Pos
-	Names []string
-}
-
-// RunAnalyzers runs every analyzer over every package, de-duplicates
-// findings by position, applies //sprwl:allow suppression, and returns both
-// surviving and suppressed diagnostics sorted by position.
-func RunAnalyzers(prog *Program, pkgs []*Package, analyzers []*Analyzer) (Result, error) {
-	var all []Diagnostic
-	for _, a := range analyzers {
-		for _, pkg := range pkgs {
-			pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg, Fset: prog.Fset, diags: &all}
-			if err := a.Run(pass); err != nil {
-				return Result{}, fmt.Errorf("%s: %s: %v", a.Name, pkg.Path, err)
-			}
-		}
-	}
-
-	// Several passes can reach the same site (e.g. two packages' hot
-	// paths both call one allocating helper); one finding per site is
-	// enough.
-	type key struct {
-		a   *Analyzer
-		pos token.Pos
-	}
-	seen := make(map[key]bool)
-	var deduped []Diagnostic
-	for _, d := range all {
-		k := key{d.Analyzer, d.Pos}
-		if !seen[k] {
-			seen[k] = true
-			deduped = append(deduped, d)
-		}
-	}
-
-	allows := collectAllows(prog)
-	var res Result
-	for _, d := range deduped {
-		if allows.covers(prog.Fset.Position(d.Pos), d.Analyzer.Name) {
-			res.Suppressed = append(res.Suppressed, d)
-		} else {
-			res.Diagnostics = append(res.Diagnostics, d)
-		}
-	}
-	res.StaleAllows = allows.stale(prog.Fset, pkgs)
-	sortDiags(prog.Fset, res.Diagnostics)
-	sortDiags(prog.Fset, res.Suppressed)
-	return res, nil
-}
-
-func sortDiags(fset *token.FileSet, ds []Diagnostic) {
-	sort.Slice(ds, func(i, j int) bool {
-		pi, pj := fset.Position(ds[i].Pos), fset.Position(ds[j].Pos)
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		if pi.Column != pj.Column {
-			return pi.Column < pj.Column
-		}
-		return ds[i].Analyzer.Name < ds[j].Analyzer.Name
-	})
-}
-
-// allowSite is one //sprwl:allow directive, with a usage mark so unused
-// directives can be reported as stale.
-type allowSite struct {
-	pos   token.Pos
-	names []string
-	used  bool
-}
-
-// allowIndex maps filename → line → the directives on that line.
-type allowIndex map[string]map[int][]*allowSite
-
-// covers reports whether a diagnostic at p is silenced: an
-// //sprwl:allow(name) directive on the same line or on the line
-// immediately above suppresses analyzer name ("all" suppresses every
-// analyzer). A directive that silences a finding is marked used.
-func (ai allowIndex) covers(p token.Position, name string) bool {
-	lines := ai[p.Filename]
-	if lines == nil {
-		return false
-	}
-	for _, l := range []int{p.Line, p.Line - 1} {
-		for _, s := range lines[l] {
-			for _, n := range s.names {
-				if n == name || n == "all" {
-					s.used = true
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// stale returns the directives in the analyzed packages that silenced
-// nothing. Call after every diagnostic has been run through covers.
-func (ai allowIndex) stale(fset *token.FileSet, pkgs []*Package) []Allow {
-	analyzed := make(map[string]bool)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			analyzed[fset.Position(f.Pos()).Filename] = true
-		}
-	}
-	var out []Allow
-	for file, lines := range ai {
-		if !analyzed[file] {
-			continue
-		}
-		for _, sites := range lines {
-			for _, s := range sites {
-				if !s.used {
-					out = append(out, Allow{Pos: s.pos, Names: s.names})
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		pi, pj := fset.Position(out[i].Pos), fset.Position(out[j].Pos)
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		return pi.Line < pj.Line
-	})
-	return out
-}
-
-// collectAllows scans every loaded file (including dependencies, so a
-// suppression next to an allocating helper covers findings reported from
-// any hot path that reaches it).
-func collectAllows(prog *Program) allowIndex {
-	ai := make(allowIndex)
-	for _, pkg := range prog.Packages() {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					names := parseAllow(c.Text)
-					if len(names) == 0 {
-						continue
-					}
-					pos := prog.Fset.Position(c.Pos())
-					lines := ai[pos.Filename]
-					if lines == nil {
-						lines = make(map[int][]*allowSite)
-						ai[pos.Filename] = lines
-					}
-					lines[pos.Line] = append(lines[pos.Line], &allowSite{pos: c.Pos(), names: names})
-				}
-			}
-		}
-	}
-	return ai
-}
-
-// parseAllow extracts the analyzer names from an //sprwl:allow(a, b)
-// comment; text after the closing parenthesis is the human justification
-// and is ignored here.
-func parseAllow(text string) []string {
-	rest, ok := strings.CutPrefix(text, "//sprwl:allow(")
-	if !ok {
-		return nil
-	}
-	inner, _, ok := strings.Cut(rest, ")")
-	if !ok {
-		return nil
-	}
-	var names []string
-	for _, n := range strings.Split(inner, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			names = append(names, n)
-		}
-	}
-	return names
-}
-
 // HasDirective reports whether a declaration's doc comment group contains
 // the //sprwl:<directive> marker line (e.g. HasDirective(fd.Doc,
-// "hotpath")). Like //go: directives, the marker must be its own comment
+// "model")). Like //go: directives, the marker must be its own comment
 // line attached to the declaration.
 func HasDirective(doc *ast.CommentGroup, directive string) bool {
 	if doc == nil {

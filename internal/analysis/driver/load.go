@@ -14,11 +14,10 @@ import (
 	"strings"
 )
 
-// Package is one type-checked package: parsed syntax plus type information,
-// the unit every analyzer operates on.
+// Package is one type-checked package: parsed syntax plus type
+// information.
 type Package struct {
-	// Path is the import path ("sprwl/internal/core", or a fixture path
-	// like "a" under an analysistest testdata root).
+	// Path is the import path ("sprwl/internal/core").
 	Path string
 	// Dir is the directory the package was loaded from.
 	Dir string
@@ -32,20 +31,14 @@ type Package struct {
 	Info *types.Info
 }
 
-// Program loads and caches packages for one analysis session. Module
-// packages are resolved from ModuleDir, fixture packages (analysistest)
-// from FixtureRoot, and everything else is treated as standard library and
-// type-checked from GOROOT source — which keeps the driver dependency-free
-// and fully offline.
+// Program loads and caches packages for one extraction session. Module
+// packages are resolved from ModuleDir, and everything else is treated as
+// standard library and type-checked from GOROOT source — which keeps the
+// loader dependency-free and fully offline.
 type Program struct {
 	Fset       *token.FileSet
 	ModulePath string
 	ModuleDir  string
-
-	// FixtureRoot, when non-empty, resolves import paths that are neither
-	// module-internal nor standard library against this directory
-	// (analysistest points it at testdata/src).
-	FixtureRoot string
 
 	std     types.Importer
 	pkgs    map[string]*Package
@@ -73,7 +66,7 @@ func NewProgram(moduleDir string) (*Program, error) {
 		return nil, err
 	}
 	// The source importer must never fall into cgo-only file sets: the
-	// lint driver has no C toolchain contract. Every stdlib package this
+	// loader has no C toolchain contract. Every stdlib package this
 	// module pulls in has a pure-Go configuration.
 	build.Default.CgoEnabled = false
 	p := &Program{
@@ -102,8 +95,8 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("%s: no module directive", gomod)
 }
 
-// Import implements types.Importer for the type-checker: module and fixture
-// paths load recursively through this Program; everything else is standard
+// Import implements types.Importer for the type-checker: module paths
+// load recursively through this Program; everything else is standard
 // library.
 func (p *Program) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
@@ -119,8 +112,8 @@ func (p *Program) Import(path string) (*types.Package, error) {
 	return p.std.Import(path)
 }
 
-// dirFor resolves an import path to a source directory for module and
-// fixture packages. Standard-library paths resolve to ("", false).
+// dirFor resolves a module import path to its source directory.
+// Standard-library paths resolve to ("", false).
 func (p *Program) dirFor(path string) (string, bool) {
 	if path == p.ModulePath {
 		return p.ModuleDir, true
@@ -128,24 +121,18 @@ func (p *Program) dirFor(path string) (string, bool) {
 	if rest, ok := strings.CutPrefix(path, p.ModulePath+"/"); ok {
 		return filepath.Join(p.ModuleDir, filepath.FromSlash(rest)), true
 	}
-	if p.FixtureRoot != "" {
-		dir := filepath.Join(p.FixtureRoot, filepath.FromSlash(path))
-		if fi, err := os.Stat(dir); err == nil && fi.IsDir() {
-			return dir, true
-		}
-	}
 	return "", false
 }
 
-// Load type-checks the package at the given import path (module, fixture,
-// or already-cached) and returns it.
+// Load type-checks the module package at the given import path (or
+// returns the cached one).
 func (p *Program) Load(path string) (*Package, error) {
 	if pkg, ok := p.pkgs[path]; ok {
 		return pkg, nil
 	}
 	dir, ok := p.dirFor(path)
 	if !ok {
-		return nil, fmt.Errorf("%s: not a module or fixture package", path)
+		return nil, fmt.Errorf("%s: not a module package", path)
 	}
 	return p.load(path, dir)
 }
@@ -199,7 +186,7 @@ func (p *Program) load(path, dir string) (*Package, error) {
 // parseDir parses every non-test Go file in dir that the current build
 // configuration selects: files excluded by a //go:build constraint or a
 // GOOS/GOARCH filename suffix are skipped, exactly as the go tool would
-// skip them, so the analyzers never see (and never type-check) code that
+// skip them, so the extractor never sees (and never type-checks) code that
 // cannot be part of this build.
 func (p *Program) parseDir(dir string) ([]*ast.File, string, error) {
 	entries, err := os.ReadDir(dir)
@@ -239,109 +226,9 @@ func (p *Program) parseDir(dir string) ([]*ast.File, string, error) {
 	return files, pkgName, nil
 }
 
-// LoadPatterns expands go-style package patterns ("./...",
-// "./internal/...", "./cmd/sprwl-lint") relative to the module root and
-// loads every matched package.
-func (p *Program) LoadPatterns(patterns []string) ([]*Package, error) {
-	seen := make(map[string]bool)
-	var rels []string
-	add := func(rel string) {
-		rel = filepath.ToSlash(filepath.Clean(rel))
-		if rel == ".." || strings.HasPrefix(rel, "../") {
-			return
-		}
-		if !seen[rel] {
-			seen[rel] = true
-			rels = append(rels, rel)
-		}
-	}
-	for _, pat := range patterns {
-		pat = strings.TrimPrefix(pat, "./")
-		if pat == "" {
-			pat = "."
-		}
-		if base, ok := strings.CutSuffix(pat, "..."); ok {
-			base = strings.TrimSuffix(base, "/")
-			if base == "" {
-				base = "."
-			}
-			root := filepath.Join(p.ModuleDir, filepath.FromSlash(base))
-			err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				n := d.Name()
-				if path != root && (n == "testdata" || n == "vendor" ||
-					strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_")) {
-					return filepath.SkipDir
-				}
-				if hasGoFiles(path) {
-					rel, err := filepath.Rel(p.ModuleDir, path)
-					if err != nil {
-						return err
-					}
-					add(rel)
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			add(pat)
-		}
-	}
-	sort.Strings(rels)
-	var pkgs []*Package
-	for _, rel := range rels {
-		path := p.ModulePath
-		if rel != "." {
-			path = p.ModulePath + "/" + rel
-		}
-		pkg, err := p.Load(path)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		n := e.Name()
-		if !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") &&
-			!strings.HasPrefix(n, ".") && !strings.HasPrefix(n, "_") {
-			return true
-		}
-	}
-	return false
-}
-
-// Packages returns every package loaded so far, sorted by import path.
-func (p *Program) Packages() []*Package {
-	paths := make([]string, 0, len(p.pkgs))
-	for path := range p.pkgs {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	pkgs := make([]*Package, len(paths))
-	for i, path := range paths {
-		pkgs[i] = p.pkgs[path]
-	}
-	return pkgs
-}
-
 // FuncSource returns the declaration of fn if fn was declared in a loaded
-// package (module or fixture); standard-library functions have no source
-// here. The index is rebuilt lazily as more packages load.
+// module package; standard-library functions have no source here. The
+// index is rebuilt lazily as more packages load.
 func (p *Program) FuncSource(fn *types.Func) (FuncSource, bool) {
 	if p.fnIndex == nil || p.fnIndexed != len(p.pkgs) {
 		p.fnIndex = make(map[*types.Func]FuncSource)

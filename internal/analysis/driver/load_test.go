@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"go/ast"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,92 +94,11 @@ func TestLoadBuildTagExcluded(t *testing.T) {
 	}
 }
 
-// TestLoadFixtureShadowsStdlib checks import-path resolution order: with a
-// FixtureRoot configured, a fixture directory whose name collides with a
-// standard-library path wins, so analysistest fixtures can stub stdlib
-// packages deterministically.
-func TestLoadFixtureShadowsStdlib(t *testing.T) {
-	p, _ := writeModule(t, map[string]string{"a.go": "package m\n"})
-	fixtures := t.TempDir()
-	dir := filepath.Join(fixtures, "strings")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	src := "package strings\n\n// Marker proves the fixture, not GOROOT, was loaded.\nfunc Marker() {}\n"
-	if err := os.WriteFile(filepath.Join(dir, "strings.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p.FixtureRoot = fixtures
-	pkg, err := p.Load("strings")
-	if err != nil {
-		t.Fatalf("Load(strings): %v", err)
-	}
-	if pkg.Dir != dir {
-		t.Fatalf("loaded %s, want fixture dir %s", pkg.Dir, dir)
-	}
-	if pkg.Types.Scope().Lookup("Marker") == nil {
-		t.Fatal("fixture package lacks Marker: stdlib strings was loaded instead")
-	}
-}
-
 func TestLoadNoGoFiles(t *testing.T) {
 	p, mod := writeModule(t, map[string]string{"sub/README.txt": "nothing here\n"})
 	if _, err := p.Load(mod + "/sub"); err == nil {
 		t.Fatal("Load succeeded on a directory with no Go files")
 	} else if !strings.Contains(err.Error(), "no Go files") {
 		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
-// TestStaleAllows checks the suppression lifecycle: a directive that
-// silences a finding is honoured, one that silences nothing is surfaced as
-// stale (including directives naming analyzers that never report).
-func TestStaleAllows(t *testing.T) {
-	p, mod := writeModule(t, map[string]string{
-		"a.go": `package m
-
-//sprwl:allow(dummy) live: suppresses the finding on the next line
-var X = 1
-
-//sprwl:allow(dummy) stale: nothing is reported here
-var Y = 2
-
-//sprwl:allow(ghost) stale: no analyzer by this name ever fires
-var Z = 3
-`,
-	})
-	dummy := &Analyzer{Name: "dummy", Doc: "reports every identifier named X", Run: func(pass *Pass) error {
-		for _, f := range pass.Pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && id.Name == "X" {
-					pass.Reportf(id.Pos(), "X sighted")
-				}
-				return true
-			})
-		}
-		return nil
-	}}
-	pkg, err := p.Load(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunAnalyzers(p, []*Package{pkg}, []*Analyzer{dummy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Diagnostics) != 0 {
-		t.Fatalf("surviving diagnostics: %v", res.Diagnostics)
-	}
-	if len(res.Suppressed) != 1 {
-		t.Fatalf("got %d suppressed findings, want 1", len(res.Suppressed))
-	}
-	if len(res.StaleAllows) != 2 {
-		t.Fatalf("got %d stale allows, want 2: %v", len(res.StaleAllows), res.StaleAllows)
-	}
-	if l := p.Fset.Position(res.StaleAllows[0].Pos).Line; l != 6 {
-		t.Errorf("first stale allow on line %d, want 6", l)
-	}
-	if n := res.StaleAllows[1].Names; len(n) != 1 || n[0] != "ghost" {
-		t.Errorf("second stale allow names %v, want [ghost]", n)
 	}
 }

@@ -233,8 +233,6 @@ func (l *Lock) trackingMode() uint64 {
 
 // arriveIn flags the reader in structure s, remembering the structure and
 // the backend token so the retract always targets what was used.
-//
-//sprwl:hotpath
 func (h *handle) arriveIn(s uint64) {
 	l := h.l
 	switch s {
@@ -252,8 +250,6 @@ func (h *handle) arriveIn(s uint64) {
 }
 
 // departFrom retracts the reader flag from structure s.
-//
-//sprwl:hotpath
 func (h *handle) departFrom(s uint64) {
 	l := h.l
 	switch s {

@@ -7,6 +7,7 @@ import (
 
 	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
+	"sprwl/internal/rwlock/rwlocktest"
 	"sprwl/internal/stats"
 )
 
@@ -93,9 +94,11 @@ func TestAutoSwitchesToSNZIForLongReaders(t *testing.T) {
 		_ = acc.Load(data)
 		time.Sleep(time.Duration(4*threshold) * time.Nanosecond)
 	}
-	for i := 0; i < adaptEvery+2; i++ {
-		h.Read(0, long)
-	}
+	rwlocktest.Guard(t, waitGuard, func() {
+		for i := 0; i < adaptEvery+2; i++ {
+			h.Read(0, long)
+		}
+	})
 	if got := e.Load(l.trackMode); got != backendSNZI {
 		t.Fatalf("trackMode = %d after long readers, want SNZI (%d)", got, backendSNZI)
 	}
@@ -103,9 +106,11 @@ func TestAutoSwitchesToSNZIForLongReaders(t *testing.T) {
 	// And back again for short readers (hysteresis: the calibrated short
 	// cost sits well under threshold/2).
 	short := func(acc memmodel.Accessor) { _ = acc.Load(data) }
-	for i := 0; i < 16*adaptEvery; i++ {
-		h.Read(1, short)
-	}
+	rwlocktest.Guard(t, waitGuard, func() {
+		for i := 0; i < 16*adaptEvery; i++ {
+			h.Read(1, short)
+		}
+	})
 	if got := e.Load(l.trackMode); got != backendFlags {
 		t.Fatalf("trackMode = %d after short readers, want flags (%d)", got, backendFlags)
 	}

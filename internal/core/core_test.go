@@ -9,12 +9,21 @@ import (
 	"sprwl/internal/env"
 	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
+	"sprwl/internal/rwlock/rwlocktest"
 	"sprwl/internal/stats"
 )
+
+// waitGuard bounds each guarded phase of a test: the sections it runs on
+// the lock. Every guarded phase finishes in well under a second, -race
+// included. A reader that returns still flagged, or a writer that retires
+// without its wake, leaves later sections blocked forever; see
+// rwlocktest.Guard.
+const waitGuard = 10 * time.Second
 
 // testSetup builds a space, runtime, arena and SpRWL lock.
 func testSetup(t *testing.T, threads int, cfg htm.Config, opts Options) (*Lock, env.Env, *memmodel.Arena, *stats.Collector) {
 	t.Helper()
+	rwlocktest.CheckNotHung(t)
 	if cfg.Threads == 0 {
 		cfg.Threads = threads
 	}

@@ -16,7 +16,6 @@ import (
 // flag-and-check against the fallback lock (Alg. 1), then the body runs
 // with direct, fence-ordered accesses, untracked by any transaction.
 //
-//sprwl:hotpath
 //sprwl:model
 func (h *handle) Read(csID int, body rwlock.Body) {
 	l := h.l

@@ -59,8 +59,6 @@ var _ SpanHandle = (*handle)(nil)
 // AcquireRead implements SpanHandle: the Alg. 1 flag-and-check handshake,
 // without the scheduling refinements (see the file comment). The section
 // event for a span is recorded by the span owner, not per lock.
-//
-//sprwl:hotpath
 func (h *handle) AcquireRead(csID int) {
 	h.flagReaderAndSyncGL(csID)
 }
@@ -68,8 +66,6 @@ func (h *handle) AcquireRead(csID int) {
 // ReleaseRead implements SpanHandle. The span body's loads are ordered
 // before the flag reset by the environment's sequentially consistent
 // accesses, exactly as in the closure-style read path.
-//
-//sprwl:hotpath
 func (h *handle) ReleaseRead(csID int) {
 	h.unflagReader()
 }
@@ -78,8 +74,6 @@ func (h *handle) ReleaseRead(csID int) {
 // readers defer to it, §3.2.1), take the fallback lock, drain readers. The
 // advertisement stays up for the whole span — a reader that arrives after
 // us must not start a section we would then have to drain again.
-//
-//sprwl:hotpath
 func (h *handle) AcquireWrite(csID int) {
 	l := h.l
 	if l.opts.ReaderSync && h.slot >= 0 {
@@ -95,8 +89,6 @@ func (h *handle) AcquireWrite(csID int) {
 // fallback lock (whose unlock wakes parked waiters), and retire the writer
 // advertisement — store-then-wake, the phase protocol synchronized readers
 // park on.
-//
-//sprwl:hotpath
 func (h *handle) ReleaseWrite(csID int) {
 	l := h.l
 	h.restoreReaderBias()

@@ -20,7 +20,6 @@ import (
 // attempts — immediately on a capacity abort — the writer takes the global
 // fallback lock, waits for active readers to drain, and runs pessimistically.
 //
-//sprwl:hotpath
 //sprwl:model
 func (h *handle) Write(csID int, body rwlock.Body) {
 	l := h.l

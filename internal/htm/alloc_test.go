@@ -11,9 +11,7 @@ import (
 // the emulation fast path (DESIGN.md "Emulation data structures"): after
 // the first attempt has grown the read/write sets to their working size, a
 // whole begin/body/commit cycle — including Tx.Load and Tx.Store — must
-// not heap-allocate. The hotpathalloc analyzer enforces this statically on
-// Tx.Load/Tx.Store/Space.Attempt; this test is the dynamic backstop that
-// also covers the set re-use the analyzer deliberately allows.
+// not heap-allocate, the re-use of the grown sets included.
 func TestAttemptDoesNotAllocate(t *testing.T) {
 	s := MustNewSpace(Config{Threads: 1, Words: 1 << 12})
 	body := func(tx env.TxAccessor) {

@@ -194,8 +194,15 @@ func (s *Space) Load(a memmodel.Addr) uint64 {
 		}
 		// The owner won the race to commit (or is mid-cleanup): wait
 		// for it to release the line, then re-read the committed
-		// value.
+		// value. The doom is retried on every spin: the slot's next
+		// attempt can re-own the line before this loop sees the
+		// release, and that attempt must be doomed, not waited for (it
+		// may itself be waiting for this caller, as an RW-LE writer
+		// quiescing readers does).
 		for lm.writer.Load() == w {
+			if owner.doom(env.AbortConflict) {
+				return atomic.LoadUint64(s.word(a))
+			}
 			runtime.Gosched()
 		}
 	}
@@ -247,7 +254,12 @@ func (s *Space) waitWriterRelease(a memmodel.Addr) {
 		if owner.doom(env.AbortConflict) {
 			return
 		}
+		// As in Load, a later attempt of the same slot may re-own
+		// the line while we wait; doom it rather than wait for it.
 		for lm.writer.Load() == w {
+			if owner.doom(env.AbortConflict) {
+				return
+			}
 			runtime.Gosched()
 		}
 	}

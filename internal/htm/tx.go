@@ -125,8 +125,6 @@ func (t *Tx) checkAlive() {
 // transactional writer, requester-wins. ROT loads are untracked, exactly
 // like POWER8 rollback-only transactions: they carry no capacity cost and a
 // later store to the line does not abort the ROT.
-//
-//sprwl:hotpath
 func (t *Tx) Load(a memmodel.Addr) uint64 {
 	if t.suspended {
 		return t.suspendedLoad(a)
@@ -227,8 +225,6 @@ func (t *Tx) resolveWriter(lm *lineMeta) {
 // Store implements env.TxAccessor. The write is buffered; the line's writer
 // ownership is published before conflicting readers are doomed, closing the
 // race with concurrent read-set insertions.
-//
-//sprwl:hotpath
 func (t *Tx) Store(a memmodel.Addr, v uint64) {
 	if t.suspended {
 		t.space.Store(a, v)
@@ -376,8 +372,6 @@ func (t *Tx) cleanup() {
 
 // Attempt runs body as one best-effort transaction on slot and returns
 // Committed or the abort cause. Buffered stores are discarded on abort.
-//
-//sprwl:hotpath
 func (s *Space) Attempt(slot int, opts env.TxOpts, body func(tx env.TxAccessor)) (cause env.AbortCause) {
 	t := &s.txs[slot]
 	t.begin(opts)

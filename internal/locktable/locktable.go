@@ -159,8 +159,6 @@ func (t *Table) Name() string {
 
 // ShardIndex maps a key to its stripe: splitmix64-mixed, masked to the
 // table size.
-//
-//sprwl:hotpath
 func (t *Table) ShardIndex(key uint64) int {
 	return int(readers.Mix64(key) & t.mask)
 }
@@ -201,15 +199,11 @@ type Handle struct {
 // Read executes body as a read-only critical section under key's shard,
 // with the shard's full single-lock read path (HTM-first, scheduling,
 // indicator tracking).
-//
-//sprwl:hotpath
 func (h *Handle) Read(key uint64, csID int, body rwlock.Body) {
 	h.spans[h.t.ShardIndex(key)].Read(csID, body)
 }
 
 // Write executes body as an updating critical section under key's shard.
-//
-//sprwl:hotpath
 func (h *Handle) Write(key uint64, csID int, body rwlock.Body) {
 	h.spans[h.t.ShardIndex(key)].Write(csID, body)
 }
@@ -240,8 +234,6 @@ func (h *Handle) clear() {
 // on any covered shard. Keys may repeat; an empty set runs the body with no
 // locks held (an empty span protects nothing); a single-shard set delegates
 // to the shard's full single-key read path.
-//
-//sprwl:hotpath
 func (h *Handle) ReadN(keys []uint64, csID int, body rwlock.Body) {
 	switch h.collect(keys) {
 	case 0:
@@ -266,8 +258,6 @@ func (h *Handle) ReadN(keys []uint64, csID int, body rwlock.Body) {
 // (fallback lock taken, readers drained, in ascending shard order). The
 // body runs exactly once, with direct accesses — unlike single-key writes
 // it is never transactionally retried.
-//
-//sprwl:hotpath
 func (h *Handle) WriteN(keys []uint64, csID int, body rwlock.Body) {
 	switch h.collect(keys) {
 	case 0:
@@ -291,8 +281,6 @@ func (h *Handle) WriteN(keys []uint64, csID int, body rwlock.Body) {
 // ReadAll executes body while holding every shard of the table as a
 // reader — the scatter-gather span a full range scan over a hash-sharded
 // namespace needs.
-//
-//sprwl:hotpath
 func (h *Handle) ReadAll(csID int, body rwlock.Body) {
 	start := h.t.e.Now()
 	for i := 0; i < len(h.spans); i++ {
@@ -309,8 +297,6 @@ func (h *Handle) ReadAll(csID int, body rwlock.Body) {
 // sort-then-lock step. The bitmap scan visits indices in increasing order
 // by construction, which is the whole deadlock-freedom argument (see the
 // package comment).
-//
-//sprwl:hotpath
 func (h *Handle) acquireMarked(csID int, write bool) {
 	remaining := len(h.order)
 	for s := 0; s < len(h.mark) && remaining > 0; s++ {
@@ -327,8 +313,6 @@ func (h *Handle) acquireMarked(csID int, write bool) {
 }
 
 // releaseMarked releases every marked shard in descending index order.
-//
-//sprwl:hotpath
 func (h *Handle) releaseMarked(csID int, write bool) {
 	remaining := len(h.order)
 	for s := len(h.mark) - 1; s >= 0 && remaining > 0; s-- {

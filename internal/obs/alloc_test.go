@@ -14,10 +14,8 @@ func (s *nopSink) Drain(slot int, events []Event) { s.events += len(events) }
 
 // TestRecordDoesNotAllocate pins the hot-path contract from the package
 // doc: recording an event — including the amortized flush into the sinks
-// when the ring fills — performs zero heap allocations. The hotpathalloc
-// analyzer checks this statically; this test checks it dynamically, which
-// also covers anything the static walk cannot see (interface dispatch into
-// the sink, slice re-use in flush).
+// when the ring fills — performs zero heap allocations, interface dispatch
+// into the sink and slice re-use in flush included.
 func TestRecordDoesNotAllocate(t *testing.T) {
 	sink := &nopSink{}
 	p := NewPipeline(1, sink)

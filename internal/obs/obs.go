@@ -310,8 +310,6 @@ type Ring struct {
 
 // Record appends one event, flushing to the pipeline's sinks if the ring
 // is full.
-//
-//sprwl:hotpath
 func (r *Ring) Record(ev Event) {
 	if r == nil {
 		return
@@ -325,8 +323,6 @@ func (r *Ring) Record(ev Event) {
 
 // Section records one completed critical section of side rw spanning
 // [start, end] that finished in commit mode m.
-//
-//sprwl:hotpath
 func (r *Ring) Section(rw uint8, cs int, m env.CommitMode, start, end uint64) {
 	if r == nil {
 		return
@@ -336,8 +332,6 @@ func (r *Ring) Section(rw uint8, cs int, m env.CommitMode, start, end uint64) {
 
 // Abort records one aborted hardware attempt of side rw with the given
 // cause. env.Committed is not an abort and is dropped.
-//
-//sprwl:hotpath
 func (r *Ring) Abort(rw uint8, cs int, cause env.AbortCause, ts uint64) {
 	if r == nil || cause == env.Committed {
 		return
@@ -347,8 +341,6 @@ func (r *Ring) Abort(rw uint8, cs int, cause env.AbortCause, ts uint64) {
 
 // Wait records one scheduling wait spanning [start, end) for the given
 // reason. Zero-length waits are dropped.
-//
-//sprwl:hotpath
 func (r *Ring) Wait(reason uint8, rw uint8, cs int, start, end uint64) {
 	if r == nil || end <= start {
 		return
@@ -357,8 +349,6 @@ func (r *Ring) Wait(reason uint8, rw uint8, cs int, start, end uint64) {
 }
 
 // SGL records one fallback-lock hold spanning [acquired, released].
-//
-//sprwl:hotpath
 func (r *Ring) SGL(cs int, acquired, released uint64) {
 	if r == nil {
 		return
@@ -368,8 +358,6 @@ func (r *Ring) SGL(cs int, acquired, released uint64) {
 
 // Tx records one hardware-transaction attempt spanning [start, end] that
 // ended with the given cause (env.Committed for a commit).
-//
-//sprwl:hotpath
 func (r *Ring) Tx(cs int, cause env.AbortCause, start, end uint64) {
 	if r == nil {
 		return
@@ -380,8 +368,6 @@ func (r *Ring) Tx(cs int, cause env.AbortCause, start, end uint64) {
 // Park records one waiter-parking lifecycle event (a Park* code) of side
 // rw: a parked span ([start, start+dur], code ParkParked) or an instant
 // wake / spin-abandon marker (dur 0).
-//
-//sprwl:hotpath
 func (r *Ring) Park(code uint8, rw uint8, cs int, start, dur uint64) {
 	if r == nil {
 		return
@@ -401,8 +387,6 @@ func (r *Ring) Chaos(code uint8, start, dur uint64) {
 
 // Readers records one reader-indicator lifecycle event (a Readers* code)
 // at ts; cs is the critical-section ID or -1 when not attributable.
-//
-//sprwl:hotpath
 func (r *Ring) Readers(code uint8, cs int, ts uint64) {
 	if r == nil {
 		return

@@ -22,7 +22,7 @@ import "sync/atomic"
 
 // PolicyPerturber rewrites one wait episode's policy. Implementations are
 // called concurrently from every waiting goroutine and must be both
-// race-free and allocation-free (wait sites are //sprwl:hotpath graphs).
+// race-free and allocation-free (they run inside every wait loop).
 type PolicyPerturber func(Policy) Policy
 
 // chaosHook is the installed perturber, or nil (the default: no injection).

@@ -104,7 +104,6 @@ func (h Hub) Parker() Parker { return h.p }
 
 // Wake wakes every thread parked on a, after the caller's phase store.
 //
-//sprwl:hotpath
 //sprwl:model
 func (h Hub) Wake(a memmodel.Addr) {
 	if h.p != nil {
@@ -180,7 +179,6 @@ func (t *Table) Park(a memmodel.Addr, expected uint64) {
 // registered it is one atomic load — cheap enough for release paths that
 // almost never have parked waiters.
 //
-//sprwl:hotpath
 //sprwl:model
 func (t *Table) Wake(a memmodel.Addr) {
 	s := &t.shards[shardIndex(a)]

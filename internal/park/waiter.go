@@ -120,8 +120,6 @@ func (w *Waiter) CanPark() bool { return w.P != nil }
 // according to the policy. remaining is the predicted remaining wait in
 // cycles (0 = unknown); predictions beyond the park/wake round trip park
 // immediately instead of spinning the prediction out.
-//
-//sprwl:hotpath
 func (w *Waiter) Pause(a memmodel.Addr, expected, remaining uint64) {
 	if !w.waited {
 		w.waited = true

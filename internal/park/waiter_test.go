@@ -254,3 +254,31 @@ func TestPauseSpinPathAllocs(t *testing.T) {
 		t.Fatalf("Pause spin path allocates %.1f objects per call, want 0", avg)
 	}
 }
+
+// TestPauseParkPathAllocs: the Pause park branch — taken once the spin
+// budget is spent, or at once when the predicted wait exceeds the park
+// round trip — runs inside the same wait loops and must not allocate
+// either. The parker is a real Table whose word has already moved, so
+// each Park returns after its re-check.
+func TestPauseParkPathAllocs(t *testing.T) {
+	tab, words := newTestTable()
+	words.store(testAddr, 7)
+	for _, tc := range []struct {
+		name      string
+		pol       Policy
+		remaining uint64
+	}{
+		{"SpinBudgetSpent", Policy{SpinBudget: 0, RoundTrip: 1000}, 0},
+		{"PredictedLong", Policy{SpinBudget: 1 << 30, RoundTrip: 1000}, 5000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := Waiter{E: newVclockEnv(0, 1), P: tab, Pol: tc.pol}
+			if avg := testing.AllocsPerRun(100, func() { w.Pause(testAddr, 3, tc.remaining) }); avg != 0 {
+				t.Errorf("Pause park branch allocates %.1f objects per call, want 0", avg)
+			}
+			if _, parks := w.Parked(); parks < 100 {
+				t.Errorf("Pause parked %d times in 101 calls", parks)
+			}
+		})
+	}
+}

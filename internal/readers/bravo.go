@@ -113,7 +113,6 @@ func (b *Bravo) slotAddr(i int) memmodel.Addr {
 // Arrive implements Indicator: claim a hashed table slot, or publish on
 // the overflow counter when the probes collide or the bias is revoked.
 //
-//sprwl:hotpath
 //sprwl:model
 func (b *Bravo) Arrive(hint uint64) uint64 {
 	if b.mem.Load(b.ctl)&1 != 0 {
@@ -133,7 +132,6 @@ func (b *Bravo) Arrive(hint uint64) uint64 {
 
 // Depart implements Indicator.
 //
-//sprwl:hotpath
 //sprwl:model
 func (b *Bravo) Depart(token uint64) {
 	if token == OverflowToken {
@@ -146,8 +144,6 @@ func (b *Bravo) Depart(token uint64) {
 // Check implements Indicator: the overflow line plus every table slot —
 // O(slots) lines regardless of goroutine count. skip is ignored; writers
 // never occupy table slots.
-//
-//sprwl:hotpath
 func (b *Bravo) Check(tx TxMemory, _ int) bool {
 	if tx.Load(b.over) != 0 {
 		return true

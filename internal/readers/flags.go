@@ -34,7 +34,6 @@ func (f Flags) addr(i int) memmodel.Addr { return f.base + memmodel.Addr(i) }
 
 // Arrive implements Indicator. hint must be the caller's slot in [0, n).
 //
-//sprwl:hotpath
 //sprwl:model
 func (f Flags) Arrive(hint uint64) uint64 {
 	f.mem.Store(f.addr(int(hint)), flagActive)
@@ -43,7 +42,6 @@ func (f Flags) Arrive(hint uint64) uint64 {
 
 // Depart implements Indicator.
 //
-//sprwl:hotpath
 //sprwl:model
 func (f Flags) Depart(token uint64) {
 	f.mem.Store(f.addr(int(token)), flagEmpty)
@@ -51,8 +49,6 @@ func (f Flags) Depart(token uint64) {
 
 // Check implements Indicator: one transactional load per registered
 // thread, skipping the writer's own slot when skip is non-negative.
-//
-//sprwl:hotpath
 func (f Flags) Check(tx TxMemory, skip int) bool {
 	for i := 0; i < f.n; i++ {
 		if i != skip && tx.Load(f.addr(i)) == flagActive {

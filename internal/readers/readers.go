@@ -91,8 +91,6 @@ type Indicator interface {
 
 // Mix64 is the splitmix64 finalizer, used to spread arbitrary reader
 // hints (goroutine-local seeds, slot numbers) across table slots.
-//
-//sprwl:hotpath
 func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

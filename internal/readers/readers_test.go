@@ -235,3 +235,43 @@ func TestClampBravoSlots(t *testing.T) {
 		t.Fatalf("DefaultBravoSlots() = %d, want a power of two in [4,256]", s)
 	}
 }
+
+// TestBravoSlowPathsDoNotAllocate is the BRAVO allocation table: the
+// arrivals that miss the table — every probe collides, or a fallback
+// writer has revoked the bias — and their overflow departs run inside
+// reader sections and must not heap-allocate any more than the slot path.
+// Each row also checks that its arrivals really took the overflow counter.
+func TestBravoSlowPathsDoNotAllocate(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(b *Bravo)
+	}{
+		{"Collision", func(b *Bravo) {
+			// Fill the table so any probe sequence collides.
+			for hint, claimed := uint64(0), 0; claimed < b.Slots(); hint++ {
+				if tok := b.Arrive(hint); tok != OverflowToken {
+					claimed++
+				} else {
+					b.Depart(tok)
+				}
+			}
+		}},
+		{"Revoked", func(b *Bravo) { b.Revoke() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBravo(newMemSpace(1<<12), 0, 4)
+			tc.setup(b)
+			overflowed := true
+			if avg := testing.AllocsPerRun(100, func() {
+				tok := b.Arrive(99)
+				overflowed = overflowed && tok == OverflowToken
+				b.Depart(tok)
+			}); avg != 0 {
+				t.Errorf("Arrive+Depart allocated %.2f objects per run, want 0", avg)
+			}
+			if !overflowed {
+				t.Error("an arrival claimed a table slot instead of the overflow counter")
+			}
+		})
+	}
+}

@@ -20,24 +20,18 @@ func NewSNZI(z *snzi.SNZI) SNZI { return SNZI{z: z} }
 func (s SNZI) leaf(hint uint64) int { return int(hint % uint64(s.z.Leaves())) }
 
 // Arrive implements Indicator.
-//
-//sprwl:hotpath
 func (s SNZI) Arrive(hint uint64) uint64 {
 	s.z.Arrive(s.leaf(hint))
 	return hint
 }
 
 // Depart implements Indicator.
-//
-//sprwl:hotpath
 func (s SNZI) Depart(token uint64) {
 	s.z.Depart(s.leaf(token))
 }
 
 // Check implements Indicator: a single-line read of the indicator word,
 // the whole point of the SNZI trade-off (§3.4). skip is ignored.
-//
-//sprwl:hotpath
 func (s SNZI) Check(tx TxMemory, _ int) bool {
 	return tx.Load(s.z.IndicatorAddr()) != 0
 }

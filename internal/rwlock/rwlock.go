@@ -11,7 +11,10 @@ import "sprwl/internal/memmodel"
 // through the supplied accessor: depending on the algorithm and execution
 // path the accessor is transactional (with retry semantics — the body may
 // run several times, so it must be idempotent apart from its accessor
-// stores) or direct.
+// stores) or direct. TestWorkerBodiesAreRetrySafe in package workload is
+// the check: it re-runs every workload's bodies after aborts that come
+// once a body has finished, and compares the results with a run without
+// them.
 type Body func(acc memmodel.Accessor)
 
 // Handle is one thread's endpoint to a lock. A Handle must only be used by

@@ -76,20 +76,27 @@ func Run(t *testing.T, f Factory, cfg Config) {
 }
 
 // probeGuard bounds a probe's concurrent phase. Every probe finishes in
-// well under a second, -race included. A lock that strands a reader flag
-// or loses a wake never returns; the guard turns that hang into a failure
-// naming the probe, where go test's -timeout would kill the whole run.
+// well under a second, -race included.
 const probeGuard = 10 * time.Second
 
-// hung records that a probe overran its guard. Its goroutines stay blocked
-// or spinning for the rest of the test binary, so build fails every later
-// probe at once instead of letting it time out behind them.
+// hung records that a guarded phase overran. Its goroutines stay blocked
+// or spinning for the rest of the test binary, so every later Guard or
+// CheckNotHung fails at once instead of letting its test time out behind
+// them.
 var hung atomic.Bool
 
-// guard runs f on its own goroutine and fails t if f has not returned
-// within probeGuard. f may report with t.Error but must not call t.Fatal.
-func guard(t *testing.T, f func()) {
+// Guard runs f on its own goroutine and fails t if f has not returned
+// within d. A lock that strands a reader flag or loses a wake never
+// returns; the guard turns that hang into a failure naming the test, where
+// go test's -timeout would kill the whole run. f may report with t.Error
+// but must not call t.Fatal.
+func Guard(t testing.TB, d time.Duration, f func()) {
 	t.Helper()
+	CheckNotHung(t)
+	// The timer is armed before f starts, so a guarded AllocsPerRun
+	// never counts its allocation.
+	timer := time.NewTimer(d)
+	defer timer.Stop()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -97,18 +104,25 @@ func guard(t *testing.T, f func()) {
 	}()
 	select {
 	case <-done:
-	case <-time.After(probeGuard):
+	case <-timer.C:
 		hung.Store(true)
-		t.Fatalf("still blocked after %v", probeGuard)
+		t.Fatalf("still blocked after %v", d)
+	}
+}
+
+// CheckNotHung fails t at once if an earlier guarded phase in this test
+// binary overran its guard.
+func CheckNotHung(t testing.TB) {
+	t.Helper()
+	if hung.Load() {
+		t.Fatal("not run: an earlier guarded phase hung and its goroutines still run")
 	}
 }
 
 // build sets up a fresh environment and lock.
 func build(t *testing.T, f Factory, cfg Config) (rwlock.Lock, env.Env, *memmodel.Arena) {
 	t.Helper()
-	if hung.Load() {
-		t.Fatal("not run: an earlier probe hung and its goroutines still run")
-	}
+	CheckNotHung(t)
 	hc := cfg.HTMConfig
 	hc.Threads = cfg.Threads
 	if hc.Words == 0 {
@@ -142,7 +156,7 @@ func writerMutualExclusion(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	guard(t, wg.Wait)
+	Guard(t, probeGuard, wg.Wait)
 	if got, want := e.Load(ctr), uint64(cfg.Threads*cfg.Rounds); got != want {
 		t.Fatalf("%s: counter = %d, want %d (lost updates)", l.Name(), got, want)
 	}
@@ -180,7 +194,7 @@ func readerIsolation(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	guard(t, wg.Wait)
+	Guard(t, probeGuard, wg.Wait)
 }
 
 func readersOverlap(t *testing.T, f Factory, cfg Config) {
@@ -199,9 +213,13 @@ func readersOverlap(t *testing.T, f Factory, cfg Config) {
 				// hardware attempt has no abort point inside it and the
 				// Add(+1)/Add(-1) pair always runs to completion.
 				h.Read(0, func(acc memmodel.Accessor) {
-					//sprwl:allow(bodyidempotent) deliberate: the overlap counter must tick on every execution, committed or not — re-execution noise only ever raises maxActive toward the value the test asserts
+					// Not idempotent on purpose: the overlap counter must
+					// tick on every execution, committed or not, and
+					// re-execution only ever raises maxActive toward the
+					// value the test asserts.
 					n := active.Add(1)
-					//sprwl:allow(bodyidempotent) deliberate: max-tracking CAS loop on the probe counter; monotone, so replays cannot corrupt the verdict
+					// Max-tracking CAS loop on the probe counter: it is
+					// monotone, so replays cannot corrupt the verdict.
 					for o := maxActive.Load(); n > o; o = maxActive.Load() {
 						if maxActive.CompareAndSwap(o, n) {
 							break
@@ -213,7 +231,7 @@ func readersOverlap(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	guard(t, wg.Wait)
+	Guard(t, probeGuard, wg.Wait)
 	if maxActive.Load() < 2 {
 		t.Fatalf("%s: readers never overlapped", l.Name())
 	}
@@ -238,7 +256,7 @@ func writerProgress(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	guard(t, func() { // the guard is the starvation detector
+	Guard(t, probeGuard, func() { // the guard is the starvation detector
 		h := l.NewHandle(0)
 		for i := 0; i < 30; i++ {
 			h.Write(1, func(acc memmodel.Accessor) {})
@@ -268,7 +286,7 @@ func readerProgress(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	guard(t, func() {
+	Guard(t, probeGuard, func() {
 		h := l.NewHandle(0)
 		for i := 0; i < 30; i++ {
 			h.Read(1, func(acc memmodel.Accessor) { _ = acc.Load(data) })
@@ -297,7 +315,7 @@ func effectsOnce(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	guard(t, wg.Wait)
+	Guard(t, probeGuard, wg.Wait)
 	if got, want := e.Load(ctr), uint64(cfg.Threads*cfg.Rounds); got != want {
 		t.Fatalf("%s: counter = %d, want %d (re-executed effects leaked)", l.Name(), got, want)
 	}

@@ -24,6 +24,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"sprwl/internal/core"
 	"sprwl/internal/env"
@@ -31,6 +32,7 @@ import (
 	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
 	"sprwl/internal/rwlock"
+	"sprwl/internal/rwlock/rwlocktest"
 )
 
 const (
@@ -158,11 +160,18 @@ func oracle(plans [][]op) [stressKeys]uint64 {
 	return want
 }
 
+// roundGuard bounds one round's workers. The slowest round takes about 2 s
+// under -race without -short, on 2 vCPUs. A reader that returns still
+// flagged, or a writer that retires without its wake, leaves workers
+// blocked forever; see rwlocktest.Guard.
+const roundGuard = 10 * time.Second
+
 // runStress executes one seeded round against a lock built by mk, which
 // returns the lock, a direct view for the final comparison, and how many
 // dynamic workers to add (0 if unsupported).
 func runStress(t *testing.T, name string, seed int64, nops int,
 	mk func() (rwlock.Lock, layout, func(memmodel.Addr) uint64, int)) {
+	rwlocktest.CheckNotHung(t)
 	l, ly, load, dyn := mk()
 	workers := stressThreads + dyn
 	plans := make([][]op, workers)
@@ -183,7 +192,7 @@ func runStress(t *testing.T, name string, seed int64, nops int,
 			t.Logf("replay: go test ./internal/stress/ -run '%s' -stress.seed=%d", t.Name(), seed)
 		}
 	}()
-	wg.Wait()
+	rwlocktest.Guard(t, roundGuard, wg.Wait)
 	want := oracle(plans)
 	for k := 0; k < stressKeys; k++ {
 		if got := load(ly.data[k]); got != want[k] {

@@ -165,8 +165,6 @@ type Client struct {
 }
 
 // Get returns key's value under the key's shard lock.
-//
-//sprwl:hotpath
 func (c *Client) Get(key uint64) (uint64, bool) {
 	c.key, c.shard = key, c.kv.Table.ShardIndex(key)
 	c.h.Read(key, csKVGet, c.getBody)
@@ -174,9 +172,9 @@ func (c *Client) Get(key uint64) (uint64, bool) {
 }
 
 // Put upserts (key, val) under the key's shard lock and reports whether
-// the key was newly inserted. Not a declared hot path: the node pool's
-// free lists grow amortized, so Put may allocate on a pool refill (the
-// lock acquisition underneath keeps its 0 allocs/op contract).
+// the key was newly inserted. Not an allocation-free path: the node
+// pool's free lists grow amortized, so Put may allocate on a pool refill
+// (the lock acquisition underneath keeps its 0 allocs/op contract).
 func (c *Client) Put(key, val uint64) bool {
 	c.key, c.val, c.shard = key, val, c.kv.Table.ShardIndex(key)
 	c.node = c.kv.pool.Get(c.slot)
@@ -188,8 +186,8 @@ func (c *Client) Put(key, val uint64) bool {
 }
 
 // Delete removes key under its shard lock, reporting whether it was
-// present; the node is recycled after the section commits. Like Put, not a
-// declared hot path — recycling grows the pool's free list amortized.
+// present; the node is recycled after the section commits. Like Put, not
+// allocation-free: recycling grows the pool's free list amortized.
 func (c *Client) Delete(key uint64) bool {
 	c.key, c.shard = key, c.kv.Table.ShardIndex(key)
 	c.h.Write(key, csKVDelete, c.delBody)
@@ -202,8 +200,6 @@ func (c *Client) Delete(key uint64) bool {
 
 // Scan visits every key in [lo, lo+span) across all shards under a
 // whole-table read span and returns the visit count and value sum.
-//
-//sprwl:hotpath
 func (c *Client) Scan(lo uint64, span int) (int, uint64) {
 	c.lo, c.hi = lo, lo+uint64(span)
 	c.h.ReadAll(csKVScan, c.scanBody)
@@ -214,8 +210,6 @@ func (c *Client) Scan(lo uint64, span int) (int, uint64) {
 // write span over the covered shards — and returns how many updates it
 // applied (a duplicate key occurrence re-applies the same value; absent
 // keys are skipped).
-//
-//sprwl:hotpath
 func (c *Client) MultiPut(keys []uint64, val uint64) int {
 	c.mkeys, c.val = keys, val
 	c.h.WriteN(keys, csKVMulti, c.multiBody)

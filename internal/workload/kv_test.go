@@ -168,3 +168,35 @@ func TestRunLoadClosedAndOpen(t *testing.T) {
 		t.Fatal("open run recorded no latency percentiles")
 	}
 }
+
+// TestKVHotPathsDoNotAllocate is the workload allocation table: the KV
+// client ops that inherit the lock table's 0 allocs/op contract, plus the
+// Zipf key generator on both of its branches. Put and Delete are absent
+// on purpose: the node pool's free lists grow amortized.
+func TestKVHotPathsDoNotAllocate(t *testing.T) {
+	kv, _ := buildKV(t, KVConfig{Table: locktable.Config{Shards: 8, Threads: 1}, Items: 512})
+	c := kv.NewClient(0)
+	keys := []uint64{3, 77, 150, 402}
+	uniform, skewed := NewZipf(512, 0, 1), NewZipf(512, 0.99, 1)
+	var sink uint64
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"Get", func() { v, _ := c.Get(77); sink += v }},
+		{"Scan", func() { _, s := c.Scan(100, 32); sink += s }},
+		{"MultiPut", func() { sink += uint64(c.MultiPut(keys, 9)) }},
+		{"ZipfUniform", func() { sink += uniform.Next() }},
+		{"ZipfSkewed", func() { sink += skewed.Next() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < 4; i++ {
+				tc.run() // warm up the emulation's sets and span scratch
+			}
+			if avg := testing.AllocsPerRun(100, tc.run); avg != 0 {
+				t.Errorf("allocated %.2f objects per run, want 0", avg)
+			}
+		})
+	}
+	_ = sink
+}

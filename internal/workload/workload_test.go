@@ -128,23 +128,24 @@ func TestTPCCWorkerDeterministicInputs(t *testing.T) {
 	}
 }
 
-// TestWorkerBodiesAreRetrySafe: running a workload under a lock whose
-// transactional attempts constantly abort (spurious injection) must not
-// corrupt the map — bodies re-execute cleanly.
+// TestWorkerBodiesAreRetrySafe is the check on the paper's §3 body
+// contract: an HTM body may run several times, so everything it does
+// outside its accessor stores must be safe to repeat. Each workload runs
+// single-threaded from a fixed seed on a replayEnv that aborts every k-th
+// attempt after its body has finished; every op result, the final
+// structure contents and the node pool's next blocks must match the run
+// with no replays.
 func TestWorkerBodiesAreRetrySafe(t *testing.T) {
-	cfg := HashmapConfig{Buckets: 16, Items: 128, LookupsPerRead: 2, UpdatePercent: 80}
-	space := htm.MustNewSpace(htm.Config{Threads: 1, Words: HashmapWords(cfg) + tleWords(), SpuriousEvery: 3})
-	e := htm.NewRuntime(space, nil)
-	ar := memmodel.NewArena(0, space.Size())
-	lock := tle.New(e, ar, nil)
-	hm := SetupHashmap(space, ar, cfg, 1)
-	step := hm.Worker(lock.NewHandle(0), 0, 5)
-	for i := 0; i < 500; i++ {
-		step()
-	}
-	size := hm.Map.Len(space)
-	if size < 128/2 || size > 128*2 {
-		t.Fatalf("map size %d drifted badly under constant retries", size)
+	for _, c := range replayCases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.locks == nil {
+				replayDifferential(t, c.run, "")
+				return
+			}
+			for _, lock := range c.locks {
+				t.Run(lock, func(t *testing.T) { replayDifferential(t, c.run, lock) })
+			}
+		})
 	}
 }
 

@@ -64,8 +64,6 @@ func NewZipf(n uint64, theta float64, seed uint64) *Zipf {
 }
 
 // Next returns the next rank.
-//
-//sprwl:hotpath
 func (z *Zipf) Next() uint64 {
 	if z.uniform {
 		return z.rng.Uint64N(z.n)
