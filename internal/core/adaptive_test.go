@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"sprwl/internal/hang"
 	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
-	"sprwl/internal/rwlock/rwlocktest"
 	"sprwl/internal/stats"
 )
 
@@ -94,7 +94,7 @@ func TestAutoSwitchesToSNZIForLongReaders(t *testing.T) {
 		_ = acc.Load(data)
 		time.Sleep(time.Duration(4*threshold) * time.Nanosecond)
 	}
-	rwlocktest.Guard(t, waitGuard, func() {
+	hang.Guard(t, waitGuard, func() {
 		for i := 0; i < adaptEvery+2; i++ {
 			h.Read(0, long)
 		}
@@ -106,7 +106,7 @@ func TestAutoSwitchesToSNZIForLongReaders(t *testing.T) {
 	// And back again for short readers (hysteresis: the calibrated short
 	// cost sits well under threshold/2).
 	short := func(acc memmodel.Accessor) { _ = acc.Load(data) }
-	rwlocktest.Guard(t, waitGuard, func() {
+	hang.Guard(t, waitGuard, func() {
 		for i := 0; i < 16*adaptEvery; i++ {
 			h.Read(1, short)
 		}

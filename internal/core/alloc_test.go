@@ -4,10 +4,10 @@ import (
 	"testing"
 
 	"sprwl/internal/env"
+	"sprwl/internal/hang"
 	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
 	"sprwl/internal/rwlock"
-	"sprwl/internal/rwlock/rwlocktest"
 	"sprwl/internal/stats"
 )
 
@@ -15,7 +15,7 @@ import (
 // returns it with one data word.
 func allocLock(t *testing.T, opts Options) (*Lock, memmodel.Addr) {
 	t.Helper()
-	rwlocktest.CheckNotHung(t)
+	hang.CheckNotHung(t)
 	space := htm.MustNewSpace(htm.Config{Threads: 1, Words: 1 << 14})
 	ar := memmodel.NewArena(0, space.Size())
 	l := MustNew(htm.NewRuntime(space, nil), ar, 1, 4, opts, nil)
@@ -29,7 +29,7 @@ func requireNoAllocs(t *testing.T, h rwlock.Handle, data memmodel.Addr) {
 	var sink uint64
 	readBody := func(acc memmodel.Accessor) { sink += acc.Load(data) }
 	writeBody := func(acc memmodel.Accessor) { acc.Store(data, acc.Load(data)+1) }
-	rwlocktest.Guard(t, waitGuard, func() {
+	hang.Guard(t, waitGuard, func() {
 		// Warm up: first transactions grow the emulation's read/write
 		// sets.
 		for i := 0; i < 4; i++ {
@@ -137,7 +137,7 @@ func TestSectionPathsDoNotAllocate(t *testing.T) {
 					}
 					// Warm up: the first sections grow the emulation's
 					// read/write sets and the obs ring.
-					rwlocktest.Guard(t, waitGuard, func() {
+					hang.Guard(t, waitGuard, func() {
 						for i := 0; i < 4; i++ {
 							for _, r := range rows {
 								r.run()
@@ -147,7 +147,7 @@ func TestSectionPathsDoNotAllocate(t *testing.T) {
 					for _, r := range rows {
 						t.Run(r.name, func(t *testing.T) {
 							before := col.Snapshot().Commits[r.kind][r.mode]
-							rwlocktest.Guard(t, waitGuard, func() {
+							hang.Guard(t, waitGuard, func() {
 								if avg := testing.AllocsPerRun(100, r.run); avg != 0 {
 									t.Errorf("allocated %.2f objects per run, want 0", avg)
 								}

@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"sprwl/internal/env"
+	"sprwl/internal/hang"
 	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
-	"sprwl/internal/rwlock/rwlocktest"
 	"sprwl/internal/stats"
 )
 
@@ -17,13 +17,13 @@ import (
 // the lock. Every guarded phase finishes in well under a second, -race
 // included. A reader that returns still flagged, or a writer that retires
 // without its wake, leaves later sections blocked forever; see
-// rwlocktest.Guard.
+// hang.Guard.
 const waitGuard = 10 * time.Second
 
 // testSetup builds a space, runtime, arena and SpRWL lock.
 func testSetup(t *testing.T, threads int, cfg htm.Config, opts Options) (*Lock, env.Env, *memmodel.Arena, *stats.Collector) {
 	t.Helper()
-	rwlocktest.CheckNotHung(t)
+	hang.CheckNotHung(t)
 	if cfg.Threads == 0 {
 		cfg.Threads = threads
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sprwl/internal/core"
+	"sprwl/internal/hang"
 	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
 	"sprwl/internal/obs"
@@ -70,11 +71,18 @@ func TestChaosMatrix(t *testing.T) {
 
 	for _, combo := range chaosMatrix() {
 		t.Run(combo.name, func(t *testing.T) {
+			// After a hung combo, fail at once: a leak check here
+			// would wait out its deadline on the hung goroutines.
+			hang.CheckNotHung(t)
 			LeakCheck(t)
 			artifacts = append(artifacts, runChaosCombo(t, combo))
 		})
 	}
 }
+
+// chaosGuard bounds one combo's run. A combo takes about 0.2 s, -race
+// included.
+const chaosGuard = 10 * time.Second
 
 func runChaosCombo(t *testing.T, combo chaosCombo) comboArtifact {
 	const (
@@ -155,10 +163,22 @@ func runChaosCombo(t *testing.T, combo chaosCombo) comboArtifact {
 		}(d)
 	}
 
-	time.Sleep(runFor)
-	stop.Store(true)
-	wg.Wait()
+	// A lost wake leaves workers blocked for good. The guard fails the
+	// combo within seconds instead of at go test's timeout, and the
+	// deferred Stop still restores GOMAXPROCS and the park hook.
+	stopped := false
+	defer func() {
+		if !stopped {
+			chaos.Stop()
+		}
+	}()
+	hang.Guard(t, chaosGuard, func() {
+		time.Sleep(runFor)
+		stop.Store(true)
+		wg.Wait()
+	})
 	events := chaos.Stop()
+	stopped = true
 	pipe.Flush()
 
 	if park.ChaosInstalled() {
@@ -168,7 +188,9 @@ func runChaosCombo(t *testing.T, combo chaosCombo) comboArtifact {
 		t.Errorf("%d torn reads under chaos", n)
 	}
 	var got uint64
-	l.NewHandle(0).Read(0, func(acc memmodel.Accessor) { got = acc.Load(counter) })
+	hang.Guard(t, chaosGuard, func() {
+		l.NewHandle(0).Read(0, func(acc memmodel.Accessor) { got = acc.Load(counter) })
+	})
 	if got != wrote.Load() {
 		t.Errorf("counter = %d, want %d committed writes", got, wrote.Load())
 	}

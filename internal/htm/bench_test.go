@@ -1,6 +1,8 @@
 package htm
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"sprwl/internal/env"
@@ -107,4 +109,56 @@ func BenchmarkUninstrumentedStore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Store(memmodel.Addr(i&511), uint64(i))
 	}
+}
+
+// BenchmarkTxLoadSharedLines measures read-mostly transactions that share
+// their read set: every goroutine's attempt reads the same 32 lines, so any
+// per-line reader metadata they write is written by all of them. One op is
+// one committed attempt.
+func BenchmarkTxLoadSharedLines(b *testing.B) {
+	const lines = 32
+	threads := runtime.GOMAXPROCS(0)
+	s := MustNewSpace(Config{Threads: threads, Words: lines * memmodel.LineWords})
+	var next atomic.Int32
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		slot := int(next.Add(1)-1) % threads
+		var sink uint64
+		body := func(tx env.TxAccessor) {
+			for l := 0; l < lines; l++ {
+				sink += tx.Load(memmodel.Addr(l * memmodel.LineWords))
+			}
+		}
+		for pb.Next() {
+			if c := s.Attempt(slot, env.TxOpts{}, body); c != env.Committed {
+				b.Errorf("read-only attempt aborted: %v", c)
+				return
+			}
+		}
+		_ = sink
+	})
+}
+
+// BenchmarkUninstrumentedStoreWithActiveReader prices the strong-isolation
+// scan of an uninstrumented store while another slot runs a transaction
+// that holds 32 lines, none of them the stored one, so the store finds a
+// reader to check and never dooms it.
+func BenchmarkUninstrumentedStoreWithActiveReader(b *testing.B) {
+	s := MustNewSpace(Config{Threads: 4, Words: 1 << 12})
+	tx := &s.txs[1]
+	tx.begin(env.TxOpts{})
+	for l := 1; l <= 32; l++ {
+		tx.Load(memmodel.Addr(l * memmodel.LineWords))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Store(memmodel.Addr(i&7), uint64(i))
+	}
+	b.StopTimer()
+	if tx.doomed() {
+		b.Fatal("a store to an unread line doomed the reader")
+	}
+	tx.cleanup()
 }

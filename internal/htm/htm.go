@@ -22,15 +22,18 @@
 //     keep full write-set semantics. Suspended sections model POWER8's
 //     suspend/resume. Both are needed only by the RW-LE baseline.
 //
-// The implementation keeps two atomic metadata words per 64-byte line: a
-// bitmask of transaction slots that hold the line in their read set, and the
-// owner slot of the (single) transaction that has written it. All conflict
-// handshakes are ordered so that detection is never missed: writers publish
-// ownership before checking readers, readers publish their read bit before
-// loading, uninstrumented loads check ownership before loading, and
-// uninstrumented stores write memory before scanning metadata. A
-// transactional load re-checks its own doom after reading memory, so a
-// body never acts on an inconsistent snapshot (opacity).
+// The implementation keeps one atomic metadata word per 64-byte line, the
+// owner slot of the (single) transaction that has written it. Read sets are
+// per transaction, as in a core's private cache: each Tx publishes the
+// lines it has read in a table only it writes, and a thread about to write a
+// line probes the tables of the active slots for readers to doom. All
+// conflict handshakes are ordered so that detection is never missed: writers
+// publish ownership before scanning read sets, readers publish a read-set
+// entry before loading the line's owner and word, uninstrumented loads check
+// ownership before loading, and uninstrumented stores write memory before
+// scanning read sets. A transactional load re-checks its own doom after
+// reading memory, so a body never acts on an inconsistent snapshot
+// (opacity).
 // A committing transaction first moves to a Committing state that wins every
 // subsequent doom race, then writes back, then releases its lines — which
 // makes externalization atomic from the point of view of both transactional
@@ -40,7 +43,7 @@ package htm
 import (
 	"errors"
 	"fmt"
-	"math/bits"
+	"math"
 	"runtime"
 	"sync/atomic"
 
@@ -48,8 +51,10 @@ import (
 	"sprwl/internal/memmodel"
 )
 
-// MaxThreads is the maximum number of thread slots per Space, bounded by the
-// width of the per-line reader bitmask.
+// MaxThreads is the maximum number of thread slots per Space. Every
+// uninstrumented store and every first transactional store to a line scans
+// the slots that have run an attempt, so their number is kept small; the
+// value also caps the simulated reader series (harness/readers.go).
 const MaxThreads = 64
 
 // Config sizes a Space and sets its default best-effort limits.
@@ -77,11 +82,10 @@ type Config struct {
 	SpuriousEvery uint64
 }
 
-// lineMeta is the per-cache-line conflict-detection metadata.
+// lineMeta is the per-cache-line conflict-detection metadata. Readers are
+// not recorded here: each transaction publishes its own read set
+// (readtable.go).
 type lineMeta struct {
-	// readers is a bitmask of transaction slots holding this line in
-	// their read set.
-	readers atomic.Uint64
 	// writer is slot+1 of the transaction that has written this line, or
 	// zero when the line is transactionally unowned.
 	writer atomic.Uint64
@@ -93,11 +97,16 @@ type capPair struct {
 
 // Space is a simulated shared address space with HTM semantics.
 type Space struct {
-	cfg     Config
-	words   []uint64
-	lines   []lineMeta
-	txs     []Tx
-	caps    []capPair
+	cfg   Config
+	words []uint64
+	lines []lineMeta
+	txs   []Tx
+	caps  []capPair
+	// used is one past the highest slot that has begun an attempt, and
+	// doomReaders scans only the slots below it: stores to a structure
+	// built before any transaction runs skip the scan. It grows at most
+	// once per slot, so it stays read-shared.
+	used    atomic.Int64
 	spurCtr atomic.Uint64
 }
 
@@ -115,6 +124,10 @@ func NewSpace(cfg Config) (*Space, error) {
 		return nil, errors.New("htm: capacities must be non-negative")
 	}
 	nwords := (cfg.Words + memmodel.LineWords - 1) / memmodel.LineWords * memmodel.LineWords
+	if uint64(nwords/memmodel.LineWords) > math.MaxUint32 {
+		// A read-set entry holds line+1 in 32 bits.
+		return nil, fmt.Errorf("htm: Words must be at most %d, got %d", uint64(math.MaxUint32)*memmodel.LineWords, cfg.Words)
+	}
 	s := &Space{
 		cfg:   cfg,
 		words: make([]uint64, nwords),
@@ -126,9 +139,8 @@ func NewSpace(cfg Config) (*Space, error) {
 		tx := &s.txs[i]
 		tx.space = s
 		tx.slot = i
-		tx.mask = uint64(1) << uint(i)
+		tx.reads.Store(newReadTable(readTableSlots))
 		tx.log.init()
-		tx.readSet.init()
 		tx.writeSet.init()
 	}
 	for i := range s.caps {
@@ -269,18 +281,12 @@ func (s *Space) waitWriterRelease(a memmodel.Addr) {
 // read or write set. Transactions that already reached their commit point
 // are left alone: they serialize before the caller's store.
 func (s *Space) doomLineUsers(l memmodel.Line) {
-	lm := s.line(l)
-	if w := lm.writer.Load(); w != 0 {
+	if w := s.line(l).writer.Load(); w != 0 {
 		s.txs[w-1].doom(env.AbortConflict)
 	}
-	s.doomSlots(lm.readers.Load(), env.AbortConflict)
-}
-
-// doomSlots dooms every transaction whose slot bit is set in mask.
-func (s *Space) doomSlots(mask uint64, cause env.AbortCause) {
-	for mask != 0 {
-		slot := bits.TrailingZeros64(mask)
-		mask &^= uint64(1) << uint(slot)
-		s.txs[slot].doom(cause)
+	// Until a slot begins an attempt there are no readers to scan for,
+	// which spares a structure being built the call.
+	if s.used.Load() != 0 {
+		s.doomReaders(l, -1)
 	}
 }

@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"math"
 	"testing"
 
 	"sprwl/internal/env"
@@ -32,6 +33,9 @@ func TestNewSpaceValidation(t *testing.T) {
 		{"zero words", Config{Threads: 1, Words: 0}},
 		{"negative read capacity", Config{Threads: 1, Words: 64, ReadCapacityLines: -1}},
 		{"negative write capacity", Config{Threads: 1, Words: 64, WriteCapacityLines: -1}},
+		// A read-set entry holds line+1 in 32 bits; the check must come
+		// before the space is allocated.
+		{"too many lines", Config{Threads: 1, Words: (math.MaxUint32 + 1) * memmodel.LineWords}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

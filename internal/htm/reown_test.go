@@ -33,7 +33,7 @@ func TestUninstrumentedAccessDoomsReownedLine(t *testing.T) {
 			tx := &s.txs[0]
 			tx.begin(env.TxOpts{})
 			tx.Store(a, 5)
-			tx.state.Store(packState(stCommitting, env.Committed))
+			tx.state.Store(tx.stateWord(packState(stCommitting, env.Committed)))
 
 			done := make(chan struct{})
 			go func() {
@@ -43,7 +43,7 @@ func TestUninstrumentedAccessDoomsReownedLine(t *testing.T) {
 			// Let the access reach its wait for the committing owner,
 			// then let the slot's "next attempt" own the line.
 			time.Sleep(20 * time.Millisecond)
-			tx.state.Store(packState(stActive, env.Committed))
+			tx.state.Store(tx.stateWord(packState(stActive, env.Committed)))
 			select {
 			case <-done:
 			case <-time.After(2 * time.Second):

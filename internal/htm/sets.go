@@ -2,27 +2,30 @@ package htm
 
 import "sprwl/internal/memmodel"
 
-// Flat, allocation-free transactional tracking structures. These replace the
-// per-Tx Go maps (writes map[Addr]uint64, readSet/writeSet map[Line]struct{})
-// that previously dominated the emulation hot path with hashing and bucket
-// walks, and whose per-attempt clear() cost scaled with map capacity.
+// Flat, allocation-free transactional tracking structures for the write
+// side. These replace the per-Tx Go maps (writes map[Addr]uint64, writeSet
+// map[Line]struct{}) that previously dominated the emulation hot path with
+// hashing and bucket walks, and whose per-attempt clear() cost scaled with
+// map capacity. The read set, which other threads probe, is in
+// readtable.go.
 //
 // Both structures are epoch-stamped: an entry is live only if its stamp
-// equals the current epoch, so resetting for a fresh attempt is a single
-// epoch increment — O(1) instead of O(capacity). On the (once per 2^32
-// attempts) epoch wrap the stamp arrays are zeroed to keep stale stamps from
-// aliasing the new epoch.
+// equals the owning Tx's current epoch, which every method takes as an
+// argument, so resetting for a fresh attempt is the Tx's single epoch
+// increment — O(1) instead of O(capacity). Tx.nextEpoch zeroes the stamp
+// arrays on the (once per 2^32 attempts) epoch wrap to keep stale stamps
+// from aliasing the new epoch.
 //
 // Structures are owned by a single Tx and accessed only by its owning
-// thread; conflicting threads interact through the per-line atomic metadata
-// in Space, never through these.
+// thread; conflicting threads interact through the per-line owner word in
+// Space and the published read sets, never through these.
 
 const (
 	// lineSetSlots sizes the direct-mapped stamp table of a lineSet. It is
 	// a power of two comfortably above the largest effective per-thread
-	// capacity a machine profile configures (Broadwell: 384 read lines),
-	// so collisions — which fall back to the spill list — stay rare even
-	// for capacity-bound transactions.
+	// capacity a machine profile configures (Broadwell: 384 lines), so
+	// collisions — which fall back to the spill list — stay rare even for
+	// capacity-bound transactions.
 	lineSetSlots = 1024
 	lineSetShift = 64 - 10 // log2(lineSetSlots) top bits of the hash
 
@@ -45,7 +48,6 @@ func addrSlot(a memmodel.Addr) uint { return uint(uint64(a) * hashMult >> writeC
 // O(1) membership, a spill list for hash collisions, and an insertion-order
 // member list for iteration (cleanup) and O(1) size (capacity accounting).
 type lineSet struct {
-	epoch   uint32
 	stamps  []uint32        // stamps[i] == epoch ⇒ slot i holds slotOf[i]
 	slotOf  []memmodel.Line // line occupying each live slot
 	members []memmodel.Line // all members, insertion order, no duplicates
@@ -53,7 +55,6 @@ type lineSet struct {
 }
 
 func (s *lineSet) init() {
-	s.epoch = 1 // stamps are zero ⇒ every slot starts empty
 	s.stamps = make([]uint32, lineSetSlots)
 	s.slotOf = make([]memmodel.Line, lineSetSlots)
 	s.members = make([]memmodel.Line, 0, 128)
@@ -62,9 +63,9 @@ func (s *lineSet) init() {
 
 // contains reports membership. The common repeat-access case costs one
 // stamp-word compare plus one line compare.
-func (s *lineSet) contains(l memmodel.Line) bool {
+func (s *lineSet) contains(l memmodel.Line, epoch uint32) bool {
 	i := lineSlot(l)
-	if s.stamps[i] != s.epoch {
+	if s.stamps[i] != epoch {
 		// Slot free: l cannot be a member — add always claims a free
 		// slot before ever spilling.
 		return false
@@ -81,10 +82,10 @@ func (s *lineSet) contains(l memmodel.Line) bool {
 }
 
 // add inserts l, which the caller has checked is not yet a member.
-func (s *lineSet) add(l memmodel.Line) {
+func (s *lineSet) add(l memmodel.Line, epoch uint32) {
 	i := lineSlot(l)
-	if s.stamps[i] != s.epoch {
-		s.stamps[i] = s.epoch
+	if s.stamps[i] != epoch {
+		s.stamps[i] = epoch
 		s.slotOf[i] = l
 	} else {
 		s.spill = append(s.spill, l)
@@ -94,13 +95,9 @@ func (s *lineSet) add(l memmodel.Line) {
 
 func (s *lineSet) len() int { return len(s.members) }
 
-// reset empties the set for a fresh attempt in O(1).
+// reset empties the member lists for a fresh attempt; the epoch bump
+// retires the stamps.
 func (s *lineSet) reset() {
-	if s.epoch == ^uint32(0) {
-		clear(s.stamps)
-		s.epoch = 0
-	}
-	s.epoch++
 	s.members = s.members[:0]
 	s.spill = s.spill[:0]
 }
@@ -116,14 +113,12 @@ type writeLog struct {
 	addrs []memmodel.Addr
 	vals  []uint64
 
-	epoch  uint32
 	cstamp []uint32        // cstamp[i] == epoch ⇒ cache slot i is live
 	caddr  []memmodel.Addr // cached address per slot
 	cidx   []int32         // index of that address's newest log entry
 }
 
 func (w *writeLog) init() {
-	w.epoch = 1
 	w.addrs = make([]memmodel.Addr, 0, 64)
 	w.vals = make([]uint64, 0, 64)
 	w.cstamp = make([]uint32, writeCacheSlots)
@@ -132,9 +127,9 @@ func (w *writeLog) init() {
 }
 
 // cached returns the buffered value of a if its cache entry is live.
-func (w *writeLog) cached(a memmodel.Addr) (uint64, bool) {
+func (w *writeLog) cached(a memmodel.Addr, epoch uint32) (uint64, bool) {
 	i := addrSlot(a)
-	if w.cstamp[i] == w.epoch && w.caddr[i] == a {
+	if w.cstamp[i] == epoch && w.caddr[i] == a {
 		return w.vals[w.cidx[i]], true
 	}
 	return 0, false
@@ -143,11 +138,11 @@ func (w *writeLog) cached(a memmodel.Addr) (uint64, bool) {
 // latest scans the log newest-first for a buffered value of a, refreshing
 // the cache on a hit. Only reached when a's cache entry was evicted by a
 // direct-mapped collision (or a was never stored).
-func (w *writeLog) latest(a memmodel.Addr) (uint64, bool) {
+func (w *writeLog) latest(a memmodel.Addr, epoch uint32) (uint64, bool) {
 	for j := len(w.addrs) - 1; j >= 0; j-- {
 		if w.addrs[j] == a {
 			i := addrSlot(a)
-			w.cstamp[i] = w.epoch
+			w.cstamp[i] = epoch
 			w.caddr[i] = a
 			w.cidx[i] = int32(j)
 			return w.vals[j], true
@@ -157,15 +152,15 @@ func (w *writeLog) latest(a memmodel.Addr) (uint64, bool) {
 }
 
 // store buffers a write, updating in place when a's cache entry is live.
-func (w *writeLog) store(a memmodel.Addr, v uint64) {
+func (w *writeLog) store(a memmodel.Addr, v uint64, epoch uint32) {
 	i := addrSlot(a)
-	if w.cstamp[i] == w.epoch && w.caddr[i] == a {
+	if w.cstamp[i] == epoch && w.caddr[i] == a {
 		w.vals[w.cidx[i]] = v
 		return
 	}
 	w.addrs = append(w.addrs, a)
 	w.vals = append(w.vals, v)
-	w.cstamp[i] = w.epoch
+	w.cstamp[i] = epoch
 	w.caddr[i] = a
 	w.cidx[i] = int32(len(w.addrs) - 1)
 }
@@ -173,13 +168,9 @@ func (w *writeLog) store(a memmodel.Addr, v uint64) {
 // empty reports whether the log holds no buffered writes.
 func (w *writeLog) empty() bool { return len(w.addrs) == 0 }
 
-// reset discards all buffered writes for a fresh attempt in O(1).
+// reset discards all buffered writes for a fresh attempt in O(1); the epoch
+// bump retires the cache stamps.
 func (w *writeLog) reset() {
-	if w.epoch == ^uint32(0) {
-		clear(w.cstamp)
-		w.epoch = 0
-	}
-	w.epoch++
 	w.addrs = w.addrs[:0]
 	w.vals = w.vals[:0]
 }

@@ -10,7 +10,8 @@ import (
 )
 
 // Transaction lifecycle states, packed into the low bits of Tx.state; a doom
-// cause is packed alongside so that state and cause change atomically.
+// cause is packed alongside so that state and cause change atomically. The
+// high half of Tx.state holds the attempt's epoch (readtable.go).
 const (
 	stInactive uint32 = iota
 	stActive
@@ -22,33 +23,58 @@ const (
 	stateBits  = 8
 	stateMask  = (1 << stateBits) - 1
 	causeShift = stateBits
+	epochShift = 32
 )
 
 func packState(st uint32, cause env.AbortCause) uint32 {
 	return st | uint32(cause)<<causeShift
 }
 
-// Tx is a single thread slot's (reusable) transaction descriptor. A Tx is
-// only ever manipulated by its owning thread, except for the state word,
-// which conflicting threads CAS to doom it.
+// stateWord is the state word for the owner's current attempt with the given
+// packed state.
+func (t *Tx) stateWord(packed uint32) uint64 {
+	return uint64(t.epoch)<<epochShift | uint64(packed)
+}
+
+// Tx is a single thread slot's (reusable) transaction descriptor. Only its
+// owning thread writes it, except for the state word, which conflicting
+// threads CAS to doom it; they also read the read table to find the lines
+// the attempt has read.
 type Tx struct {
+	// The words other threads read sit on a cache line of their own. The
+	// owner writes them only when an attempt begins or ends and when the
+	// read table grows; sharing a line with the fields below, which it
+	// writes on every access, would make each scan of this slot miss.
+	_ cacheLinePad
+	// state holds the attempt's epoch in its high half and the packed
+	// lifecycle state and doom cause in its low half.
+	state atomic.Uint64
+	// reads is the published read set (readtable.go). Its live entries
+	// carry the epoch in state.
+	reads atomic.Pointer[readTable]
+	_     cacheLinePad
+
 	space *Space
 	slot  int
-	mask  uint64
-
-	// state holds the packed lifecycle state and doom cause.
-	state atomic.Uint32
+	// counted records that the slot has raised Space.used past itself.
+	counted bool
+	// epoch numbers the current attempt, as published in state. The read
+	// table, the write set and the write log stamp their entries with it.
+	epoch  uint32
+	nreads int // lines in the current attempt's read set
 
 	rot       bool
 	suspended bool
 
-	// log buffers this attempt's stores in program order; readSet and
-	// writeSet track the lines touched. All three are flat epoch-stamped
-	// structures (see sets.go) reset in O(1) by begin.
+	// log buffers this attempt's stores in program order and writeSet
+	// tracks the lines written. Both are flat epoch-stamped structures
+	// (see sets.go), emptied in O(1) by begin's epoch bump.
 	log      writeLog
-	readSet  lineSet
 	writeSet lineSet
 }
+
+// cacheLinePad separates fields that different threads write.
+type cacheLinePad [64]byte
 
 var _ env.TxAccessor = (*Tx)(nil)
 
@@ -66,9 +92,9 @@ const ownerReleaseSpins = 128
 func (t *Tx) doom(cause env.AbortCause) bool {
 	for {
 		st := t.state.Load()
-		switch st & stateMask {
+		switch uint32(st) & stateMask {
 		case stActive:
-			if t.state.CompareAndSwap(st, packState(stDoomed, cause)) {
+			if t.state.CompareAndSwap(st, st>>epochShift<<epochShift|uint64(packState(stDoomed, cause))) {
 				return true
 			}
 		case stDoomed, stInactive:
@@ -80,23 +106,48 @@ func (t *Tx) doom(cause env.AbortCause) bool {
 }
 
 // doomed reports whether the transaction has been doomed.
-func (t *Tx) doomed() bool { return t.state.Load()&stateMask == stDoomed }
+func (t *Tx) doomed() bool { return uint32(t.state.Load())&stateMask == stDoomed }
 
 func (t *Tx) doomCause() env.AbortCause {
-	return env.AbortCause(t.state.Load() >> causeShift)
+	return env.AbortCause(uint32(t.state.Load()) >> causeShift)
+}
+
+// nextEpoch moves the descriptor to a fresh attempt's epoch. The read
+// table, the write set and the write log count an entry as live only while
+// its stamp is the current epoch, so the bump empties all three in O(1). No
+// attempt runs in epoch 0, so a zeroed stamp is always free. When the epoch
+// wraps, all three stamp arrays are zeroed, so a stamp written 2^32
+// attempts ago cannot alias the new epoch. It runs while the slot is
+// inactive, when scanners skip the read table.
+func (t *Tx) nextEpoch() {
+	t.epoch++
+	if t.epoch == 0 {
+		rt := t.reads.Load()
+		for i := range rt.entries {
+			rt.entries[i].Store(0)
+		}
+		clear(t.writeSet.stamps)
+		clear(t.log.cstamp)
+		t.epoch = 1
+	}
 }
 
 // begin arms the descriptor for a fresh attempt.
 func (t *Tx) begin(opts env.TxOpts) {
-	if t.state.Load()&stateMask != stInactive {
+	if uint32(t.state.Load())&stateMask != stInactive {
 		panic(fmt.Sprintf("htm: nested transaction on slot %d", t.slot))
+	}
+	if !t.counted {
+		t.space.countSlot(t.slot)
+		t.counted = true
 	}
 	t.rot = opts.ROT
 	t.suspended = false
+	t.nextEpoch()
 	t.log.reset()
-	t.readSet.reset()
 	t.writeSet.reset()
-	t.state.Store(packState(stActive, env.Committed))
+	t.nreads = 0
+	t.state.Store(t.stateWord(packState(stActive, env.Committed)))
 }
 
 // fail dooms the transaction itself (preserving an earlier doom cause if one
@@ -119,12 +170,14 @@ func (t *Tx) checkAlive() {
 	}
 }
 
-// Load implements env.TxAccessor. Non-ROT loads record the line in the read
-// set (publishing the read bit before reading the word, so a conflicting
-// uninstrumented store can never be missed) and doom a conflicting
-// transactional writer, requester-wins. ROT loads are untracked, exactly
-// like POWER8 rollback-only transactions: they carry no capacity cost and a
-// later store to the line does not abort the ROT.
+// Load implements env.TxAccessor. A non-ROT load of a new line publishes
+// the line in the read set before it loads the line's owner and the word,
+// so a conflicting writer or uninstrumented store either finds the entry
+// and dooms this attempt or is seen by those loads (see doomReaders); a
+// conflicting transactional writer is then doomed, requester-wins. ROT
+// loads are untracked, exactly like POWER8 rollback-only transactions: they
+// carry no capacity cost and a later store to the line does not abort the
+// ROT.
 func (t *Tx) Load(a memmodel.Addr) uint64 {
 	if t.suspended {
 		return t.suspendedLoad(a)
@@ -137,11 +190,11 @@ func (t *Tx) Load(a memmodel.Addr) uint64 {
 		// case in one probe; a collision-evicted entry falls back to a
 		// newest-first log scan, gated on line ownership so unwritten
 		// addresses never pay for it.
-		if v, ok := t.log.cached(a); ok {
+		if v, ok := t.log.cached(a, t.epoch); ok {
 			return v
 		}
-		if t.writeSet.contains(l) {
-			if v, ok := t.log.latest(a); ok {
+		if t.writeSet.contains(l, t.epoch) {
+			if v, ok := t.log.latest(a, t.epoch); ok {
 				return v
 			}
 			// The line is ours but this word was never stored:
@@ -156,14 +209,12 @@ func (t *Tx) Load(a memmodel.Addr) uint64 {
 		// hardware), but without touching our read set.
 		return t.rotLoad(a, l)
 	}
-	if !t.readSet.contains(l) {
-		if cap := s.caps[t.slot].read; cap > 0 && t.readSet.len() >= cap {
-			t.fail(env.AbortCapacity)
-		}
-		lm := s.line(l)
-		lm.readers.Or(t.mask)
-		t.readSet.add(l)
-		t.resolveWriter(lm)
+	// The probe inlines here, so a repeat access costs no call.
+	e := readEntry(t.epoch, l)
+	rt := t.reads.Load()
+	if i, ok := rt.find(e); !ok {
+		t.addRead(rt, i, e)
+		t.resolveWriter(s.line(l))
 	}
 	return t.validated(atomic.LoadUint64(s.word(a)))
 }
@@ -233,14 +284,14 @@ func (t *Tx) Store(a memmodel.Addr, v uint64) {
 	t.checkAlive()
 	s := t.space
 	l := memmodel.LineOf(a)
-	if !t.writeSet.contains(l) {
+	if !t.writeSet.contains(l, t.epoch) {
 		if cap := s.caps[t.slot].write; cap > 0 && t.writeSet.len() >= cap {
 			t.fail(env.AbortCapacity)
 		}
 		t.acquireLine(l)
-		t.writeSet.add(l)
+		t.writeSet.add(l, t.epoch)
 	}
-	t.log.store(a, v)
+	t.log.store(a, v, t.epoch)
 }
 
 // acquireLine takes exclusive transactional ownership of line l, dooming
@@ -254,9 +305,9 @@ func (t *Tx) acquireLine(l memmodel.Line) {
 		case w == 0:
 			if lm.writer.CompareAndSwap(0, uint64(t.slot+1)) {
 				// Ownership published; now doom every reader
-				// (other than ourselves) that got its bit in
-				// before us.
-				s.doomSlots(lm.readers.Load()&^t.mask, env.AbortConflict)
+				// (other than ourselves) that published the
+				// line before us.
+				s.doomReaders(l, t.slot)
 				return
 			}
 		case int(w-1) == t.slot:
@@ -344,7 +395,7 @@ func (t *Tx) Suspend(fn func()) bool {
 // commit. Write-back replays the log in program order (last store to an
 // address wins), so externalization is deterministic.
 func (t *Tx) commit() env.AbortCause {
-	if !t.state.CompareAndSwap(packState(stActive, env.Committed), packState(stCommitting, env.Committed)) {
+	if !t.state.CompareAndSwap(t.stateWord(packState(stActive, env.Committed)), t.stateWord(packState(stCommitting, env.Committed))) {
 		cause := t.doomCause()
 		t.cleanup()
 		return cause
@@ -357,17 +408,16 @@ func (t *Tx) commit() env.AbortCause {
 	return env.Committed
 }
 
-// cleanup releases all line metadata and retires the descriptor. The member
-// lists hold each line exactly once, in insertion order.
+// cleanup releases the written lines and retires the descriptor. The write
+// set's member list holds each line exactly once, in insertion order. The
+// read set needs no release: scanners skip an inactive slot, and the next
+// attempt's epoch bump retires its entries.
 func (t *Tx) cleanup() {
 	s := t.space
 	for _, l := range t.writeSet.members {
 		s.line(l).writer.Store(0)
 	}
-	for _, l := range t.readSet.members {
-		s.line(l).readers.And(^t.mask)
-	}
-	t.state.Store(packState(stInactive, env.Committed))
+	t.state.Store(t.stateWord(packState(stInactive, env.Committed)))
 }
 
 // Attempt runs body as one best-effort transaction on slot and returns

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"sprwl/internal/env"
+	"sprwl/internal/hang"
 	"sprwl/internal/hostile"
 	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
@@ -79,50 +80,10 @@ func Run(t *testing.T, f Factory, cfg Config) {
 // well under a second, -race included.
 const probeGuard = 10 * time.Second
 
-// hung records that a guarded phase overran. Its goroutines stay blocked
-// or spinning for the rest of the test binary, so every later Guard or
-// CheckNotHung fails at once instead of letting its test time out behind
-// them.
-var hung atomic.Bool
-
-// Guard runs f on its own goroutine and fails t if f has not returned
-// within d. A lock that strands a reader flag or loses a wake never
-// returns; the guard turns that hang into a failure naming the test, where
-// go test's -timeout would kill the whole run. f may report with t.Error
-// but must not call t.Fatal.
-func Guard(t testing.TB, d time.Duration, f func()) {
-	t.Helper()
-	CheckNotHung(t)
-	// The timer is armed before f starts, so a guarded AllocsPerRun
-	// never counts its allocation.
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		f()
-	}()
-	select {
-	case <-done:
-	case <-timer.C:
-		hung.Store(true)
-		t.Fatalf("still blocked after %v", d)
-	}
-}
-
-// CheckNotHung fails t at once if an earlier guarded phase in this test
-// binary overran its guard.
-func CheckNotHung(t testing.TB) {
-	t.Helper()
-	if hung.Load() {
-		t.Fatal("not run: an earlier guarded phase hung and its goroutines still run")
-	}
-}
-
 // build sets up a fresh environment and lock.
 func build(t *testing.T, f Factory, cfg Config) (rwlock.Lock, env.Env, *memmodel.Arena) {
 	t.Helper()
-	CheckNotHung(t)
+	hang.CheckNotHung(t)
 	hc := cfg.HTMConfig
 	hc.Threads = cfg.Threads
 	if hc.Words == 0 {
@@ -156,7 +117,7 @@ func writerMutualExclusion(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	Guard(t, probeGuard, wg.Wait)
+	hang.Guard(t, probeGuard, wg.Wait)
 	if got, want := e.Load(ctr), uint64(cfg.Threads*cfg.Rounds); got != want {
 		t.Fatalf("%s: counter = %d, want %d (lost updates)", l.Name(), got, want)
 	}
@@ -194,7 +155,7 @@ func readerIsolation(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	Guard(t, probeGuard, wg.Wait)
+	hang.Guard(t, probeGuard, wg.Wait)
 }
 
 func readersOverlap(t *testing.T, f Factory, cfg Config) {
@@ -231,7 +192,7 @@ func readersOverlap(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	Guard(t, probeGuard, wg.Wait)
+	hang.Guard(t, probeGuard, wg.Wait)
 	if maxActive.Load() < 2 {
 		t.Fatalf("%s: readers never overlapped", l.Name())
 	}
@@ -256,7 +217,7 @@ func writerProgress(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	Guard(t, probeGuard, func() { // the guard is the starvation detector
+	hang.Guard(t, probeGuard, func() { // the guard is the starvation detector
 		h := l.NewHandle(0)
 		for i := 0; i < 30; i++ {
 			h.Write(1, func(acc memmodel.Accessor) {})
@@ -286,7 +247,7 @@ func readerProgress(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	Guard(t, probeGuard, func() {
+	hang.Guard(t, probeGuard, func() {
 		h := l.NewHandle(0)
 		for i := 0; i < 30; i++ {
 			h.Read(1, func(acc memmodel.Accessor) { _ = acc.Load(data) })
@@ -315,7 +276,7 @@ func effectsOnce(t *testing.T, f Factory, cfg Config) {
 			}
 		}(slot)
 	}
-	Guard(t, probeGuard, wg.Wait)
+	hang.Guard(t, probeGuard, wg.Wait)
 	if got, want := e.Load(ctr), uint64(cfg.Threads*cfg.Rounds); got != want {
 		t.Fatalf("%s: counter = %d, want %d (re-executed effects leaked)", l.Name(), got, want)
 	}

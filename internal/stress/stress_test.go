@@ -28,11 +28,11 @@ import (
 
 	"sprwl/internal/core"
 	"sprwl/internal/env"
+	"sprwl/internal/hang"
 	"sprwl/internal/hostile"
 	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
 	"sprwl/internal/rwlock"
-	"sprwl/internal/rwlock/rwlocktest"
 )
 
 const (
@@ -163,7 +163,7 @@ func oracle(plans [][]op) [stressKeys]uint64 {
 // roundGuard bounds one round's workers. The slowest round takes about 2 s
 // under -race without -short, on 2 vCPUs. A reader that returns still
 // flagged, or a writer that retires without its wake, leaves workers
-// blocked forever; see rwlocktest.Guard.
+// blocked forever; see hang.Guard.
 const roundGuard = 10 * time.Second
 
 // runStress executes one seeded round against a lock built by mk, which
@@ -171,7 +171,7 @@ const roundGuard = 10 * time.Second
 // dynamic workers to add (0 if unsupported).
 func runStress(t *testing.T, name string, seed int64, nops int,
 	mk func() (rwlock.Lock, layout, func(memmodel.Addr) uint64, int)) {
-	rwlocktest.CheckNotHung(t)
+	hang.CheckNotHung(t)
 	l, ly, load, dyn := mk()
 	workers := stressThreads + dyn
 	plans := make([][]op, workers)
@@ -192,7 +192,7 @@ func runStress(t *testing.T, name string, seed int64, nops int,
 			t.Logf("replay: go test ./internal/stress/ -run '%s' -stress.seed=%d", t.Name(), seed)
 		}
 	}()
-	rwlocktest.Guard(t, roundGuard, wg.Wait)
+	hang.Guard(t, roundGuard, wg.Wait)
 	want := oracle(plans)
 	for k := 0; k < stressKeys; k++ {
 		if got := load(ly.data[k]); got != want[k] {

@@ -9,11 +9,11 @@ import (
 	"sprwl/internal/alloc"
 	"sprwl/internal/core"
 	"sprwl/internal/env"
+	"sprwl/internal/hang"
 	"sprwl/internal/htm"
 	"sprwl/internal/locktable"
 	"sprwl/internal/memmodel"
 	"sprwl/internal/rwlock"
-	"sprwl/internal/rwlock/rwlocktest"
 	"sprwl/internal/tle"
 	"sprwl/internal/tpcc"
 )
@@ -76,14 +76,14 @@ const (
 	poolDrain = 32
 )
 
-// guardedRun runs one workload under rwlocktest.Guard and fails t if the
+// guardedRun runs one workload under hang.Guard and fails t if the
 // run panics or overruns replayGuard.
 func guardedRun(t *testing.T, w replayWorkload, lock string, every int) replayRun {
 	t.Helper()
 	space := htm.MustNewSpace(htm.Config{Threads: 1, Words: 1 << 18})
 	e := &replayEnv{Runtime: htm.NewRuntime(space, nil), every: every}
 	var run replayRun
-	rwlocktest.Guard(t, replayGuard, func() {
+	hang.Guard(t, replayGuard, func() {
 		defer func() {
 			if p := recover(); p != nil {
 				t.Errorf("k=%d: run panicked: %v", every, p)

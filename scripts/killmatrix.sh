@@ -33,6 +33,11 @@ rows=(
 	"B5    test     ^TestWorkerBodiesAreRetrySafe$               ./internal/workload"
 	"S1    test     ^TestUninstrumentedAccessDoomsReownedLine$   ./internal/htm"
 	"S2    test     ^TestUninstrumentedAccessDoomsReownedLine$   ./internal/htm"
+	"S3    test     ^TestDifferentialSchedules$                  ./internal/htm"
+	"S4    test     ^TestReadTableGrowthDoomsReader$             ./internal/htm"
+	"S5    test     ^TestReadTableEpochWrap$                     ./internal/htm"
+	"S6    test     ^TestReadTableEpochWrap$                     ./internal/htm"
+	"S8    test     ^TestReadTableEpochWrap$                     ./internal/htm"
 	"F1    model    mutex-2r1w"
 	"F2    test     ^TestWriterStoresClockBeforeAdvertising$     ./internal/core"
 	"F3    model    vsgl-1r1w"
