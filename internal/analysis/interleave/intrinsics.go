@@ -123,17 +123,6 @@ func (f *frame) inlineStatic(call *ast.CallExpr, fn *types.Func, recv *absVal) (
 	if f.skipCall(qualifiedName(fn)) {
 		return numVal(Konst(0)), nil
 	}
-	// park.perturb is the hostile harness's test-only policy hook, gated
-	// on a process-global atomic the model does not bind. No hook is ever
-	// installed in modeled executions, so the call is identity — and
-	// policies only tune the spin/park heuristic, whose outcomes the
-	// checker explores nondeterministically anyway.
-	if fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "internal/park") && fn.Name() == "perturb" {
-		if len(call.Args) != 1 {
-			return nil, f.errAt(call, "perturb wants 1 arg")
-		}
-		return f.evalExpr(call.Args[0])
-	}
 	src, ok := f.lo.ex.prog.FuncSource(fn)
 	if !ok {
 		return nil, f.errAt(call, "no source for %s (outside the module?)", qualifiedName(fn))

@@ -102,7 +102,7 @@ const (
 	// promotion threshold divided by adaptHysteresis.
 	adaptHysteresis = 2
 	// adaptBravoDivisor sets the flags→BRAVO promotion point relative
-	// to AutoSNZIThreshold: BRAVO's commit check is a fraction of the
+	// to the SNZI threshold: BRAVO's commit check is a fraction of the
 	// flag array's (table slots vs. registered threads), so it pays off
 	// at proportionally shorter reader durations than SNZI does.
 	adaptBravoDivisor = 4
@@ -165,7 +165,7 @@ func (h *handle) maybeSwitchTracking() {
 // desiredBackend maps the reader-duration EMA to a tracking structure,
 // with hysteresis on demotions relative to the current structure.
 func (l *Lock) desiredBackend(cur uint64, ema float64) uint64 {
-	snziAt := float64(l.opts.AutoSNZIThreshold)
+	snziAt := float64(l.snziAt)
 	bravoAt := snziAt / adaptBravoDivisor
 	switch cur {
 	case backendFlags:

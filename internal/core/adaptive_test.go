@@ -11,9 +11,11 @@ import (
 	"sprwl/internal/stats"
 )
 
-func autoOpts(threshold uint64) Options {
+// autoOpts is AutoSNZI with readers going uninstrumented (and sampled)
+// directly; tests set the lock's snziAt after construction.
+func autoOpts() Options {
 	o := AutoSNZIOptions()
-	o.AutoSNZIThreshold = threshold
+	o.ReaderHTMFirst = false
 	return o
 }
 
@@ -72,9 +74,8 @@ func TestTrackTargetAndCoverage(t *testing.T) {
 // so the test holds under instrumentation overhead (e.g. -race).
 func TestAutoSwitchesToSNZIForLongReaders(t *testing.T) {
 	// Calibrate: how expensive is a trivial read on this build?
-	probeOpts := autoOpts(1 << 62)
-	probeOpts.ReaderHTMFirst = false
-	pl, pe, par, _ := testSetup(t, 2, htm.Config{Threads: 2, Words: 1 << 14}, probeOpts)
+	pl, pe, par, _ := testSetup(t, 2, htm.Config{Threads: 2, Words: 1 << 14}, autoOpts())
+	pl.snziAt = 1 << 62
 	pdata := par.AllocLines(1)
 	ph := pl.NewHandle(0)
 	t0 := pe.Now()
@@ -85,9 +86,8 @@ func TestAutoSwitchesToSNZIForLongReaders(t *testing.T) {
 	shortCost := (pe.Now() - t0) / probes
 
 	threshold := shortCost*16 + 4096
-	opts := autoOpts(threshold)
-	opts.ReaderHTMFirst = false // go uninstrumented (and sampled) directly
-	l, e, ar, _ := testSetup(t, 2, htm.Config{Threads: 2, Words: 1 << 14}, opts)
+	l, e, ar, _ := testSetup(t, 2, htm.Config{Threads: 2, Words: 1 << 14}, autoOpts())
+	l.snziAt = threshold
 	data := ar.AllocLines(1)
 	h := l.NewHandle(0) // slot 0 runs the controller
 	long := func(acc memmodel.Accessor) {
@@ -129,9 +129,8 @@ func TestAutoWriterSeesReaderInEitherStructure(t *testing.T) {
 		}
 	}
 	for _, mode := range modes {
-		opts := autoOpts(1 << 62) // controller never self-triggers
-		opts.ReaderHTMFirst = false
-		l, e, ar, col := testSetup(t, 2, htm.Config{}, opts)
+		l, e, ar, col := testSetup(t, 2, htm.Config{}, autoOpts())
+		l.snziAt = 1 << 62 // controller never self-triggers
 		data := ar.AllocLines(1)
 		e.Store(l.trackMode, mode)
 
@@ -172,10 +171,9 @@ func TestAutoWriterSeesReaderInEitherStructure(t *testing.T) {
 // duration pattern that forces repeated mode switches while verifying the
 // core snapshot invariant.
 func TestAutoSnapshotConsistencyUnderSwitching(t *testing.T) {
-	opts := autoOpts(4000)
-	opts.ReaderHTMFirst = false
 	const threads = 4
-	l, e, ar, _ := testSetup(t, threads, htm.Config{Threads: threads, Words: 1 << 14}, opts)
+	l, e, ar, _ := testSetup(t, threads, htm.Config{Threads: threads, Words: 1 << 14}, autoOpts())
+	l.snziAt = 4000
 	x := ar.AllocLines(1)
 	y := ar.AllocLines(1)
 	var wg sync.WaitGroup

@@ -102,11 +102,6 @@ type Options struct {
 	// UseBravo and UseSNZI.
 	AutoSNZI bool
 
-	// AutoSNZIThreshold is the reader duration (cycles) above which
-	// AutoSNZI selects SNZI tracking; 0 selects
-	// DefaultAutoSNZIThreshold.
-	AutoSNZIThreshold uint64
-
 	// VersionedSGL enables the §3.3 anti-starvation scheme: the fallback
 	// lock carries a version, and a reader stops deferring to fallback
 	// writers that acquired the lock after the reader started waiting.
@@ -199,6 +194,9 @@ type Lock struct {
 	z         *snzi.SNZI
 	trackMode memmodel.Addr // adaptive reader-tracking mode word
 	adapt     adaptState
+	// snziAt is the reader duration (cycles) above which AutoSNZI
+	// selects SNZI tracking; in-package tests lower it.
+	snziAt uint64
 
 	// parker is the environment's sleep/wake primitive (nil = spin-only,
 	// as in the simulator); wakes is the nil-safe wake endpoint the
@@ -270,15 +268,13 @@ func New(e env.Env, ar *memmodel.Arena, threads, numCS int, opts Options, pipe *
 		opts:       opts,
 		threads:    threads,
 		est:        ema.NewEstimator(numCS, 0),
+		snziAt:     DefaultAutoSNZIThreshold,
 		pipe:       pipe,
 		state:      ar.AllocWords(threads),
 		clockW:     ar.AllocWords(threads),
 		clockR:     ar.AllocWords(threads),
 		waitingFor: ar.AllocWords(threads),
 		readerVer:  ar.AllocWords(threads),
-	}
-	if opts.AutoSNZIThreshold == 0 {
-		l.opts.AutoSNZIThreshold = DefaultAutoSNZIThreshold
 	}
 	l.parker = park.FromEnv(e)
 	l.wakes = park.NewHub(l.parker)

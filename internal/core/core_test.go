@@ -433,7 +433,7 @@ func TestEstimatorLearnsDurations(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.Write(3, func(acc memmodel.Accessor) { acc.Store(data, uint64(i)) })
 	}
-	if _, ok := l.Estimator().Duration(3); !ok {
+	if _, ok := l.est.Duration(3); !ok {
 		t.Fatal("estimator has no sample for cs 3 after sampling-thread executions")
 	}
 }

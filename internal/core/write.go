@@ -239,10 +239,3 @@ func (h *handle) restoreReaderBias() {
 }
 
 var _ rwlock.Handle = (*handle)(nil)
-
-// Estimator exposes the duration estimator, for tests and diagnostics.
-func (l *Lock) Estimator() interface {
-	Duration(cs int) (uint64, bool)
-} {
-	return l.est
-}

@@ -4,21 +4,17 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"sprwl/internal/obs"
-	"sprwl/internal/park"
 )
 
 // ChaosConfig tunes the in-process chaos controller.
 type ChaosConfig struct {
 	// Seed drives the controller's private rng; the same seed replays the
-	// same perturbation schedule (modulo OS scheduling, which is the
+	// same fault schedule (modulo OS scheduling, which is the
 	// point of the exercise).
 	Seed int64
 
-	// QuotaShrink enables GOMAXPROCS perturbation: the quota jumps
+	// QuotaShrink enables GOMAXPROCS changes: the quota jumps
 	// between MinProcs and MaxProcs mid-run, forcing the workload through
 	// repeated oversubscription cliffs.
 	QuotaShrink bool
@@ -32,25 +28,16 @@ type ChaosConfig struct {
 	// neighbour does.
 	PreemptStorm bool
 
-	// ParkStarve enables park-budget starvation through park.SetChaos:
-	// windows in which every wait site's spin budget is zeroed (all
-	// waiters park immediately, hammering the wake protocol) alternating
-	// with windows in which it is inflated (waiters burn CPU through
-	// windows they would normally sleep through).
-	ParkStarve bool
-
-	// Interval is the mean pause between perturbations (default 2ms);
+	// Interval is the mean pause between fault windows (default 2ms);
 	// each window lasts one to three intervals.
 	Interval time.Duration
+}
 
-	// Ring, when non-nil, receives one EvChaos span per perturbation
-	// window, timestamped with Now — give the controller its own pipeline
-	// slot and the workload's clock so the profiler can intersect the
-	// spans with observed waits.
-	Ring *obs.Ring
-	// Now supplies cycle timestamps for the spans (required with Ring;
-	// defaults to wall nanoseconds otherwise).
-	Now func() uint64
+// Window is one fault window the controller applied: which arm ("quota"
+// or "preempt") and how long it stayed in force.
+type Window struct {
+	Arm string
+	Dur time.Duration
 }
 
 // Chaos is a running chaos controller.
@@ -60,25 +47,17 @@ type Chaos struct {
 	done     chan struct{}
 	baseline int // GOMAXPROCS at Start, restored at Stop
 
-	mu     sync.Mutex
-	events []obs.Event
+	// windows is written only by the controller goroutine and read after
+	// Stop joins it.
+	windows []Window
 }
 
-// starveFlip drives the park perturber's deterministic alternation between
-// starved and inflated budgets. Package-scoped because the installed hook
-// must be allocation-free and survive controller restarts.
-var starveFlip atomic.Uint64
-
 // StartChaos launches the controller goroutine. Call Stop before checking
-// oracles or leaks: Stop restores GOMAXPROCS, uninstalls the park hook, and
-// waits for in-flight storms to land.
+// oracles or leaks: Stop restores GOMAXPROCS and waits for in-flight storms
+// to land.
 func StartChaos(cfg ChaosConfig) *Chaos {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * time.Millisecond
-	}
-	if cfg.Now == nil {
-		t0 := time.Now()
-		cfg.Now = func() uint64 { return uint64(time.Since(t0)) }
 	}
 	c := &Chaos{
 		cfg:      cfg,
@@ -99,31 +78,13 @@ func StartChaos(cfg ChaosConfig) *Chaos {
 	return c
 }
 
-// Stop halts the controller, restores the scheduler quota and park policy,
-// and returns every recorded perturbation span (also available afterwards
-// through Events).
-func (c *Chaos) Stop() []obs.Event {
+// Stop halts the controller, restores the scheduler quota, and returns
+// every fault window it applied.
+func (c *Chaos) Stop() []Window {
 	close(c.stop)
 	<-c.done
-	park.SetChaos(nil)
 	runtime.GOMAXPROCS(c.baseline)
-	return c.Events()
-}
-
-// Events returns a copy of the recorded perturbation spans.
-func (c *Chaos) Events() []obs.Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]obs.Event, len(c.events))
-	copy(out, c.events)
-	return out
-}
-
-func (c *Chaos) record(code uint8, start, dur uint64) {
-	c.cfg.Ring.Chaos(code, start, dur) // nil-safe
-	c.mu.Lock()
-	c.events = append(c.events, obs.Event{TS: start, Dur: dur, CS: -1, Kind: obs.EvChaos, Code: code})
-	c.mu.Unlock()
+	return c.windows
 }
 
 // sleep waits d or until Stop; it reports whether the controller should
@@ -147,9 +108,6 @@ func (c *Chaos) run() {
 	if c.cfg.PreemptStorm {
 		arms = append(arms, c.preempt)
 	}
-	if c.cfg.ParkStarve {
-		arms = append(arms, c.starve)
-	}
 	if len(arms) == 0 {
 		<-c.stop
 		return
@@ -168,11 +126,11 @@ func (c *Chaos) run() {
 // window, then restores the baseline.
 func (c *Chaos) quota(rng *rand.Rand, window time.Duration) {
 	target := c.cfg.MinProcs + rng.Intn(c.cfg.MaxProcs-c.cfg.MinProcs+1)
-	start := c.cfg.Now()
+	start := time.Now()
 	runtime.GOMAXPROCS(target)
 	c.sleep(window)
 	runtime.GOMAXPROCS(c.baseline)
-	c.record(obs.ChaosQuota, start, c.cfg.Now()-start)
+	c.windows = append(c.windows, Window{Arm: "quota", Dur: time.Since(start)})
 }
 
 // preempt raises a storm of OS-thread-pinned yield loops for one window.
@@ -181,7 +139,7 @@ func (c *Chaos) quota(rng *rand.Rand, window time.Duration) {
 // from user space.
 func (c *Chaos) preempt(rng *rand.Rand, window time.Duration) {
 	n := 2 + rng.Intn(2*runtime.GOMAXPROCS(0))
-	start := c.cfg.Now()
+	start := time.Now()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -203,26 +161,5 @@ func (c *Chaos) preempt(rng *rand.Rand, window time.Duration) {
 	c.sleep(window)
 	close(stop)
 	wg.Wait()
-	c.record(obs.ChaosPreempt, start, c.cfg.Now()-start)
-}
-
-// starve installs the park-budget perturber for one window. The perturber
-// alternates deterministically (an atomic counter, not per-goroutine rng)
-// between zeroing the spin budget — every waiter parks on its first Pause,
-// stressing the wake protocol's slow path — and inflating it, which turns
-// would-be sleepers into spinners and recreates the oversubscription burn.
-func (c *Chaos) starve(rng *rand.Rand, window time.Duration) {
-	start := c.cfg.Now()
-	park.SetChaos(func(p park.Policy) park.Policy {
-		if starveFlip.Add(1)%2 == 0 {
-			p.SpinBudget = 0 // park immediately
-			return p
-		}
-		p.SpinBudget = 1 << 16 // spin through the window
-		p.RoundTrip = 1 << 40  // predictions never trigger the early park
-		return p
-	})
-	c.sleep(window)
-	park.SetChaos(nil)
-	c.record(obs.ChaosParkStarve, start, c.cfg.Now()-start)
+	c.windows = append(c.windows, Window{Arm: "preempt", Dur: time.Since(start)})
 }

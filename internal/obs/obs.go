@@ -89,13 +89,6 @@ const (
 	// the others are instant.
 	EvPark
 
-	// EvChaos is one injected fault from the hostile-environment harness
-	// (package hostile): a CPU-quota change, a preemption storm, a
-	// park-budget starvation window, or a worker crash injection. Code is
-	// a Chaos* code; spans carry the fault's active window in Dur so the
-	// wait-vs-work profiler can attribute stall time to injected faults.
-	EvChaos
-
 	numKinds
 )
 
@@ -116,46 +109,8 @@ func (k Kind) String() string {
 		return "readers"
 	case EvPark:
 		return "park"
-	case EvChaos:
-		return "chaos"
 	default:
 		return "none"
-	}
-}
-
-// Chaos-injection event codes (EvChaos.Code).
-const (
-	// ChaosQuota: a CPU-quota perturbation (GOMAXPROCS shrink or grow);
-	// Dur is how long the perturbed quota stayed in force.
-	ChaosQuota uint8 = iota
-	// ChaosPreempt: a forced-preemption storm (Gosched/LockOSThread
-	// hostage goroutines); Dur is the storm window.
-	ChaosPreempt
-	// ChaosParkStarve: a park-budget starvation window during which the
-	// park injection hook perturbed every wait site's spin/park policy;
-	// Dur is the window.
-	ChaosParkStarve
-	// ChaosCrash: a worker-process crash injection (SIGKILL at a fence
-	// point) in the multi-process harness; instant.
-	ChaosCrash
-
-	// NumChaosCodes sizes per-code accumulator arrays.
-	NumChaosCodes
-)
-
-// ChaosCodeString returns the label for an EvChaos code.
-func ChaosCodeString(code uint8) string {
-	switch code {
-	case ChaosQuota:
-		return "quota"
-	case ChaosPreempt:
-		return "preempt"
-	case ChaosParkStarve:
-		return "park-starve"
-	case ChaosCrash:
-		return "crash"
-	default:
-		return "unknown"
 	}
 }
 
@@ -373,16 +328,6 @@ func (r *Ring) Park(code uint8, rw uint8, cs int, start, dur uint64) {
 		return
 	}
 	r.Record(Event{TS: start, Dur: dur, CS: int32(cs), Kind: EvPark, RW: rw, Code: code})
-}
-
-// Chaos records one injected fault (a Chaos* code) spanning [start,
-// start+dur] (dur 0 for instant events). Only the chaos controller's own
-// ring slot records these; workloads never do.
-func (r *Ring) Chaos(code uint8, start, dur uint64) {
-	if r == nil {
-		return
-	}
-	r.Record(Event{TS: start, Dur: dur, CS: -1, Kind: EvChaos, Code: code})
 }
 
 // Readers records one reader-indicator lifecycle event (a Readers* code)

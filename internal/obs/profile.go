@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // ProfileSink is a lightweight profiler that attributes cycles to
@@ -14,29 +13,8 @@ import (
 // and the remainder, which is work (body execution plus retry overhead).
 // This answers the tuning question the paper's §3.2 schemes pose — where
 // do threads actually spend their time under a given policy?
-//
-// SampleEvery > 1 makes the sink attribute only every N-th section per
-// slot (scaling the recorded cycles by N to stay unbiased), for runs where
-// even drain-time accounting should be thinned.
 type ProfileSink struct {
-	// SampleEvery attributes one in SampleEvery sections; 0 or 1 means
-	// every section.
-	SampleEvery uint64
-
-	// TrackChaos retains every wait span and every injected-fault span
-	// (EvChaos, from the hostile harness's chaos controller) so Profiles
-	// can additionally attribute stall time to the faults whose active
-	// windows overlap each wait. Off by default: retention is unbounded,
-	// so only chaos runs — which are bounded tests — enable it.
-	TrackChaos bool
-
 	slots []profSlot
-
-	// chaos collects fault spans from whichever slot the controller's
-	// ring drains on; unlike the per-slot state it needs a lock, because
-	// batches for different slots may drain concurrently.
-	chaosMu sync.Mutex
-	chaos   []Event
 }
 
 // profSlot is one thread's accumulation state. Waits are buffered until
@@ -47,20 +25,7 @@ type profSlot struct {
 	pendingParked  uint64
 	pendingParks   uint64
 	pendingAbandon uint64
-	seen           uint64
 	byKey          map[profKey]*CSProfile
-
-	// waitSpans retains each wait's absolute window (TrackChaos only) so
-	// Profiles can intersect stalls with injected-fault windows.
-	waitSpans []waitSpan
-}
-
-// waitSpan is one retained wait window: which section key stalled, when,
-// and for how long.
-type waitSpan struct {
-	key profKey
-	ts  uint64
-	dur uint64
 }
 
 func (s *profSlot) clearPending() {
@@ -94,19 +59,6 @@ type CSProfile struct {
 	Parks        uint64
 	SpinAbandons uint64
 	Wakes        uint64
-	// FaultCycles attributes the subset of this section's stall time
-	// that overlapped an injected fault's active window, by chaos code
-	// (index with Chaos*). Populated only when the sink tracks chaos.
-	FaultCycles [NumChaosCodes]uint64
-}
-
-// TotalFault sums the per-code fault-overlapped stall cycles.
-func (p *CSProfile) TotalFault() uint64 {
-	var n uint64
-	for _, w := range p.FaultCycles {
-		n += w
-	}
-	return n
 }
 
 // TotalWait sums the per-reason wait cycles.
@@ -145,26 +97,12 @@ func (p *ProfileSink) Drain(slot int, events []Event) {
 	if s.byKey == nil {
 		s.byKey = make(map[profKey]*CSProfile)
 	}
-	every := p.SampleEvery
-	if every == 0 {
-		every = 1
-	}
 	for i := range events {
 		ev := &events[i]
 		switch ev.Kind {
 		case EvWait:
 			if ev.Code < NumWaitReasons {
 				s.pendingWait[ev.Code] += ev.Dur
-			}
-			if p.TrackChaos {
-				s.waitSpans = append(s.waitSpans,
-					waitSpan{key: profKey{cs: ev.CS, rw: ev.RW}, ts: ev.TS, dur: ev.Dur})
-			}
-		case EvChaos:
-			if p.TrackChaos {
-				p.chaosMu.Lock()
-				p.chaos = append(p.chaos, *ev)
-				p.chaosMu.Unlock()
 			}
 		case EvPark:
 			switch ev.Code {
@@ -181,24 +119,19 @@ func (p *ProfileSink) Drain(slot int, events []Event) {
 		case EvAbort:
 			s.profile(ev.CS, ev.RW).Aborts++
 		case EvSection:
-			s.seen++
-			if s.seen%every != 0 {
-				s.clearPending()
-				continue
-			}
 			c := s.profile(ev.CS, ev.RW)
-			c.Sections += every
+			c.Sections++
 			var waited uint64
 			for r, w := range s.pendingWait {
-				c.WaitCycles[r] += w * every
+				c.WaitCycles[r] += w
 				waited += w
 			}
-			c.ParkedCycles += s.pendingParked * every
-			c.Parks += s.pendingParks * every
-			c.SpinAbandons += s.pendingAbandon * every
+			c.ParkedCycles += s.pendingParked
+			c.Parks += s.pendingParks
+			c.SpinAbandons += s.pendingAbandon
 			s.clearPending()
 			if ev.Dur > waited {
-				c.WorkCycles += (ev.Dur - waited) * every
+				c.WorkCycles += ev.Dur - waited
 			}
 		}
 	}
@@ -237,9 +170,6 @@ func (p *ProfileSink) Profiles() []CSProfile {
 			m.Wakes += c.Wakes
 		}
 	}
-	if p.TrackChaos {
-		p.attributeFaults(merged)
-	}
 	out := make([]CSProfile, 0, len(merged))
 	for _, m := range merged {
 		out = append(out, *m)
@@ -255,64 +185,6 @@ func (p *ProfileSink) Profiles() []CSProfile {
 		}
 		return out[i].RW < out[j].RW
 	})
-	return out
-}
-
-// attributeFaults intersects every retained wait window with every
-// injected-fault window and charges the overlap to the wait's section key,
-// by fault code. Both lists are complete here: Profiles runs after the
-// pipeline flush, and the chaos controller stopped before it.
-func (p *ProfileSink) attributeFaults(merged map[profKey]*CSProfile) {
-	p.chaosMu.Lock()
-	chaos := p.chaos
-	p.chaosMu.Unlock()
-	if len(chaos) == 0 {
-		return
-	}
-	for i := range p.slots {
-		for _, w := range p.slots[i].waitSpans {
-			m := merged[w.key]
-			if m == nil {
-				m = &CSProfile{CS: w.key.cs, RW: w.key.rw}
-				merged[w.key] = m
-			}
-			for j := range chaos {
-				c := &chaos[j]
-				if c.Code >= NumChaosCodes {
-					continue
-				}
-				if ov := overlap(w.ts, w.dur, c.TS, c.Dur); ov > 0 {
-					m.FaultCycles[c.Code] += ov
-				}
-			}
-		}
-	}
-}
-
-// overlap returns the length of the intersection of [aTS, aTS+aDur] and
-// [bTS, bTS+bDur], or 0 when they are disjoint.
-func overlap(aTS, aDur, bTS, bDur uint64) uint64 {
-	lo := aTS
-	if bTS > lo {
-		lo = bTS
-	}
-	hi := aTS + aDur
-	if b := bTS + bDur; b < hi {
-		hi = b
-	}
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
-}
-
-// ChaosSpans returns the injected-fault events the sink retained, in drain
-// order (TrackChaos only).
-func (p *ProfileSink) ChaosSpans() []Event {
-	p.chaosMu.Lock()
-	defer p.chaosMu.Unlock()
-	out := make([]Event, len(p.chaos))
-	copy(out, p.chaos)
 	return out
 }
 
@@ -340,11 +212,6 @@ func (p *ProfileSink) String() string {
 		}
 		if c.Wakes > 0 {
 			parts = append(parts, fmt.Sprintf("wakes=%d", c.Wakes))
-		}
-		for code := uint8(0); code < NumChaosCodes; code++ {
-			if w := c.FaultCycles[code]; w > 0 {
-				parts = append(parts, fmt.Sprintf("fault:%s=%d", ChaosCodeString(code), w))
-			}
 		}
 		fmt.Fprintf(&b, "%-6d %-6s %10d %8d %14d %14d  %s\n",
 			c.CS, side, c.Sections, c.Aborts, c.WorkCycles, c.TotalWait(), strings.Join(parts, " "))

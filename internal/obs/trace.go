@@ -99,14 +99,6 @@ func (t *TraceSink) WriteTo(w io.Writer) (int64, error) {
 			case EvReaders:
 				emit(`{"ph":"i","s":"t","name":%q,"cat":"readers","pid":1,"tid":%d,"ts":%.3f,"args":{"cs":%d}}`,
 					"readers:"+ReadersCodeString(ev.Code), slot, traceTS(ev.TS), ev.CS)
-			case EvChaos:
-				if ev.Dur > 0 {
-					emit(`{"ph":"X","name":%q,"cat":"chaos","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f,"args":{}}`,
-						"chaos:"+ChaosCodeString(ev.Code), slot, traceTS(ev.TS), float64(ev.Dur)/cyclesPerMicro)
-					continue
-				}
-				emit(`{"ph":"i","s":"g","name":%q,"cat":"chaos","pid":1,"tid":%d,"ts":%.3f,"args":{}}`,
-					"chaos:"+ChaosCodeString(ev.Code), slot, traceTS(ev.TS))
 			case EvPark:
 				if ev.Code == ParkParked {
 					emit(`{"ph":"X","name":"parked","cat":"park","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f,"args":{"cs":%d}}`,

@@ -60,22 +60,21 @@ const (
 // SpinPark is the policy of the SpRWL core wait sites: spin briefly, park
 // when the spin budget is exhausted or the predicted wait says parking is
 // cheaper; without a parker, spin forever (the pre-park core behaviour).
-// The hostile harness's injection hook (SetChaos) perturbs the returned
-// policy; with no hook installed this is the plain literal.
+// Budgets tune only the spin/park trade-off, never the protocol:
+// sprwl-model treats every Pause as a nondeterministic spin-or-park choice.
 func SpinPark() Policy {
-	return perturb(Policy{SpinBudget: DefaultSpinBudget, RoundTrip: DefaultRoundTrip})
+	return Policy{SpinBudget: DefaultSpinBudget, RoundTrip: DefaultRoundTrip}
 }
 
 // Pessimistic is the policy of the pthread-style baselines: a short spin,
 // then a real park — or, without a parker, the modelled kernel block the
-// simulator has always charged for them. Subject to the same injection
-// hook as SpinPark.
+// simulator has always charged for them.
 func Pessimistic() Policy {
-	return perturb(Policy{
+	return Policy{
 		SpinBudget:  PessimisticSpinLimit,
 		RoundTrip:   DefaultRoundTrip,
 		BlockCycles: PessimisticWakeCycles,
-	})
+	}
 }
 
 // Waiter is one wait episode's spin-then-park state. Construct it on the

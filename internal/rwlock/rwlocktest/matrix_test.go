@@ -24,7 +24,7 @@ var backendAxis = []struct {
 	{"flags", func(*core.Options) {}},
 	{"snzi", func(o *core.Options) { o.UseSNZI = true }},
 	{"bravo", func(o *core.Options) { o.UseBravo = true; o.BravoSlots = 8 }},
-	{"auto", func(o *core.Options) { o.AutoSNZI = true; o.AutoSNZIThreshold = 4096 }},
+	{"auto", func(o *core.Options) { o.AutoSNZI = true }},
 }
 
 // capacityAxis enumerates the HTM spaces each combination runs in. The

@@ -75,7 +75,7 @@ func TestStressParkingOversubscribed(t *testing.T) {
 			// Not t.Parallel(): each round wants the whole (pinned) machine,
 			// and two 256-goroutine herds interleaved would just thrash.
 			t.Run(fmt.Sprintf("%s/seed=%d", v.name, seed), func(t *testing.T) {
-				runStress(t, v.name, seed, nops, func() (rwlock.Lock, layout, func(memmodel.Addr) uint64, int) {
+				runStress(t, v.name, seed, nops, 0, func() (rwlock.Lock, layout, func(memmodel.Addr) uint64, int) {
 					return coreLock(t, v.opts, parkingGoroutines-stressThreads)
 				})
 			})

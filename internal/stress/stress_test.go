@@ -67,8 +67,15 @@ func plan(seed int64, worker, nops int) []op {
 type variant struct {
 	name    string
 	opts    core.Options
-	dynamic bool // backend supports dynamic handles
+	dynamic bool          // backend supports dynamic handles
+	hold    time.Duration // read hold for runWorker; see holdEvery
 }
+
+// holdEvery spaces the stretched reads of a variant with a hold. The auto
+// backend holds 100 µs reads: each one lifts the reader-duration average
+// over the default SNZI threshold and the short reads after it bring it
+// back down, so its rows keep switching between BRAVO and SNZI.
+const holdEvery = 512
 
 // variants is the reader-backend × scheduling matrix: every backend runs
 // under every named scheduling scheme the paper evaluates.
@@ -77,11 +84,12 @@ func variants() []variant {
 		name    string
 		apply   func(*core.Options)
 		dynamic bool
+		hold    time.Duration
 	}{
-		{"flags", func(*core.Options) {}, false},
-		{"snzi", func(o *core.Options) { o.UseSNZI = true }, true},
-		{"bravo", func(o *core.Options) { o.UseBravo = true; o.BravoSlots = 4 }, true},
-		{"auto", func(o *core.Options) { o.AutoSNZI = true; o.AutoSNZIThreshold = 4096 }, true},
+		{"flags", func(*core.Options) {}, false, 0},
+		{"snzi", func(o *core.Options) { o.UseSNZI = true }, true, 0},
+		{"bravo", func(o *core.Options) { o.UseBravo = true; o.BravoSlots = 4 }, true, 0},
+		{"auto", func(o *core.Options) { o.AutoSNZI = true }, true, 100 * time.Microsecond},
 	}
 	scheds := []struct {
 		name string
@@ -100,7 +108,7 @@ func variants() []variant {
 			// flag array before applying the backend axis.
 			o.UseSNZI, o.UseBravo, o.AutoSNZI = false, false, false
 			b.apply(&o)
-			vs = append(vs, variant{name: b.name + "/" + s.name, opts: o, dynamic: b.dynamic})
+			vs = append(vs, variant{name: b.name + "/" + s.name, opts: o, dynamic: b.dynamic, hold: b.hold})
 		}
 	}
 	return vs
@@ -122,9 +130,10 @@ func carve(ar *memmodel.Arena) layout {
 	return ly
 }
 
-// runWorker drives one handle through its planned stream.
-func runWorker(t *testing.T, name string, h rwlock.Handle, ly layout, ops []op) {
-	for _, o := range ops {
+// runWorker drives one handle through its planned stream. With hold > 0,
+// every holdEvery-th op that is a read sleeps for hold between its loads.
+func runWorker(t *testing.T, name string, h rwlock.Handle, ly layout, ops []op, hold time.Duration) {
+	for i, o := range ops {
 		if o.write {
 			d, k := o.delta, o.key
 			h.Write(0, func(acc memmodel.Accessor) {
@@ -135,8 +144,16 @@ func runWorker(t *testing.T, name string, h rwlock.Handle, ly layout, ops []op) 
 		} else {
 			var vx, vy uint64
 			k := o.key
+			var sleep time.Duration
+			if i%holdEvery == holdEvery-1 {
+				sleep = hold
+			}
 			h.Read(1, func(acc memmodel.Accessor) {
-				vx, vy = acc.Load(ly.data[k]), acc.Load(ly.mirror[k])
+				vx = acc.Load(ly.data[k])
+				if sleep > 0 {
+					time.Sleep(sleep)
+				}
+				vy = acc.Load(ly.mirror[k])
 			})
 			if vx != vy {
 				t.Errorf("%s: torn read on key %d: data %d != mirror %d", name, k, vx, vy)
@@ -169,7 +186,7 @@ const roundGuard = 10 * time.Second
 // runStress executes one seeded round against a lock built by mk, which
 // returns the lock, a direct view for the final comparison, and how many
 // dynamic workers to add (0 if unsupported).
-func runStress(t *testing.T, name string, seed int64, nops int,
+func runStress(t *testing.T, name string, seed int64, nops int, hold time.Duration,
 	mk func() (rwlock.Lock, layout, func(memmodel.Addr) uint64, int)) {
 	hang.CheckNotHung(t)
 	l, ly, load, dyn := mk()
@@ -184,7 +201,7 @@ func runStress(t *testing.T, name string, seed int64, nops int,
 		wg.Add(1)
 		go func(w int, h rwlock.Handle) {
 			defer wg.Done()
-			runWorker(t, name, h, ly, plans[w])
+			runWorker(t, name, h, ly, plans[w], hold)
 		}(w, h)
 	}
 	defer func() {
@@ -323,7 +340,7 @@ func TestStressDifferential(t *testing.T) {
 				if v.dynamic {
 					dyn = stressDynamic
 				}
-				runStress(t, v.name, seed, nops, func() (rwlock.Lock, layout, func(memmodel.Addr) uint64, int) {
+				runStress(t, v.name, seed, nops, v.hold, func() (rwlock.Lock, layout, func(memmodel.Addr) uint64, int) {
 					return coreLock(t, v.opts, dyn)
 				})
 			})
@@ -333,7 +350,7 @@ func TestStressDifferential(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("rwmutex/seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runStress(t, "sync.RWMutex", seed, nops, func() (rwlock.Lock, layout, func(memmodel.Addr) uint64, int) {
+			runStress(t, "sync.RWMutex", seed, nops, 0, func() (rwlock.Lock, layout, func(memmodel.Addr) uint64, int) {
 				return rwMutexLock(t)
 			})
 		})
