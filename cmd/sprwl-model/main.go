@@ -3,19 +3,18 @@
 // It compiles the //sprwl:model-annotated reader/writer paths straight
 // out of the source tree into atomic-step thread programs, then
 // enumerates every interleaving (with sleep-set partial-order
-// reduction) under sequential consistency or TSO store-buffer
-// semantics, checking mutual exclusion, section-body integrity,
-// quiescence, and lost-wakeup/deadlock freedom.
+// reduction) under sequential consistency, checking mutual exclusion,
+// section-body integrity, quiescence, and lost-wakeup/deadlock freedom.
+// SC suffices because the extracted code is data-race free with
+// sequentially consistent atomics (DESIGN §14). The seeded bugs it must
+// catch are the model rows of scripts/killmatrix.sh (DESIGN §8).
 //
 // Usage:
 //
-//	sprwl-model [-config name|all] [-sem sc|tso|both] [-json]
-//	            [-trace dir] [-mutate name|all] [-maxstates n]
-//	            [-maxdepth n] [-litmus] [-list]
+//	sprwl-model [-config name|all] [-maxstates n] [-json] [-trace dir] [-list]
 //
-// Exit status: 0 all runs verified as expected; 1 a violation was found
-// (or a mutation self-test missed its seeded bug); 2 usage or
-// extraction error.
+// Exit status: 0 every config verified; 1 a violation was found; 2 usage
+// or extraction error.
 package main
 
 import (
@@ -31,16 +30,10 @@ import (
 func main() {
 	var (
 		config    = flag.String("config", "all", "configuration to check (see -list), or all")
-		semFlag   = flag.String("sem", "both", "memory semantics: sc, tso, or both")
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON")
 		traceDir  = flag.String("trace", "", "write counterexample traces into this directory")
-		mutate    = flag.String("mutate", "", "run mutation self-test: a mutation name, or all")
-		litmus    = flag.Bool("litmus", false, "run the litmus calibration suite instead of protocol configs")
 		maxStates = flag.Int("maxstates", 0, "state budget per run (0 = default)")
-		maxDepth  = flag.Int("maxdepth", 0, "schedule length bound (0 = default)")
-		list      = flag.Bool("list", false, "list configurations and mutations")
-		noMin     = flag.Bool("nominimize", false, "report the raw DFS counterexample without the BFS shortening pass")
-		dir       = flag.String("dir", ".", "directory inside the module to analyze")
+		list      = flag.Bool("list", false, "list configurations")
 	)
 	flag.Parse()
 
@@ -49,30 +42,12 @@ func main() {
 		for _, n := range interleave.ConfigNames() {
 			fmt.Printf("  %-16s %s\n", n, interleave.ConfigDoc(n))
 		}
-		fmt.Println("mutations:")
-		for _, m := range interleave.Mutations() {
-			fmt.Printf("  %-20s [%s] %s\n", m.Name, m.Config, m.Desc)
-		}
 		return
 	}
 
-	sems, err := parseSems(*semFlag)
+	ex, err := interleave.NewExtractor(".")
 	if err != nil {
 		fatal(err)
-	}
-	opts := interleave.ExploreOpts{MaxStates: *maxStates, MaxDepth: *maxDepth, NoMinimize: *noMin}
-
-	if *litmus {
-		os.Exit(runLitmus(sems, opts, *jsonOut, *traceDir))
-	}
-
-	ex, err := interleave.NewExtractor(*dir)
-	if err != nil {
-		fatal(err)
-	}
-
-	if *mutate != "" {
-		os.Exit(runMutations(ex, *mutate, opts, *jsonOut))
 	}
 
 	names := interleave.ConfigNames()
@@ -80,6 +55,7 @@ func main() {
 		names = []string{*config}
 	}
 
+	opts := interleave.ExploreOpts{MaxStates: *maxStates}
 	var runs []interleave.RunResult
 	exit := 0
 	for _, name := range names {
@@ -87,111 +63,20 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		for _, sem := range sems {
-			res := interleave.RunModel(m, sem, opts)
-			runs = append(runs, res)
-			if res.Violation != nil {
-				exit = 1
-				writeTrace(*traceDir, fmt.Sprintf("%s-%s", res.Model, res.Sem), res.Violation)
-			}
-			if !*jsonOut {
-				printRun(res)
-			}
+		res := interleave.RunModel(m, opts)
+		runs = append(runs, res)
+		if res.Violation != nil {
+			exit = 1
+			writeTrace(*traceDir, res.Model, res.Violation)
+		}
+		if !*jsonOut {
+			printRun(res)
 		}
 	}
 	if *jsonOut {
 		emitJSON(map[string]any{"runs": runs})
 	}
 	os.Exit(exit)
-}
-
-func parseSems(s string) ([]interleave.Sem, error) {
-	if s == "both" {
-		return []interleave.Sem{interleave.SemSC, interleave.SemTSO}, nil
-	}
-	sem, err := interleave.ParseSem(s)
-	if err != nil {
-		return nil, err
-	}
-	return []interleave.Sem{sem}, nil
-}
-
-func runLitmus(sems []interleave.Sem, opts interleave.ExploreOpts, jsonOut bool, traceDir string) int {
-	models := interleave.LitmusModels()
-	exit := 0
-	var runs []interleave.RunResult
-	for _, want := range interleave.LitmusExpectations {
-		matched := false
-		for _, sem := range sems {
-			if sem.String() == want.Sem.String() {
-				matched = true
-			}
-		}
-		if !matched {
-			continue
-		}
-		res := interleave.RunModel(models[want.Name], want.Sem, opts)
-		runs = append(runs, res)
-		ok := (res.Violation == nil) == want.Forbidden
-		verdict := "as expected"
-		if !ok {
-			verdict = "UNEXPECTED"
-			exit = 1
-		}
-		if res.Violation != nil {
-			writeTrace(traceDir, fmt.Sprintf("litmus-%s-%s", res.Model, res.Sem), res.Violation)
-		}
-		if !jsonOut {
-			state := "forbidden outcome unreachable"
-			if res.Violation != nil {
-				state = "forbidden outcome observed"
-			}
-			fmt.Printf("litmus %-3s %-4s %-30s (%s, %d states)\n", want.Name, res.Sem, state, verdict, res.States)
-		}
-	}
-	if jsonOut {
-		emitJSON(map[string]any{"litmus": runs})
-	}
-	return exit
-}
-
-func runMutations(ex *interleave.Extractor, which string, opts interleave.ExploreOpts, jsonOut bool) int {
-	var muts []interleave.Mutation
-	if which == "all" {
-		muts = interleave.Mutations()
-	} else {
-		m, ok := interleave.FindMutation(which)
-		if !ok {
-			fatal(fmt.Errorf("unknown mutation %q (see -list)", which))
-		}
-		muts = []interleave.Mutation{m}
-	}
-	exit := 0
-	var results []interleave.MutationResult
-	for _, mut := range muts {
-		for _, mr := range ex.Mutate(mut, opts) {
-			results = append(results, mr)
-			if !mr.Caught {
-				exit = 1
-			}
-			if !jsonOut {
-				verdict := "caught"
-				if !mr.Caught {
-					verdict = "MISSED: " + mr.Err
-				} else if mr.Expected == "" {
-					verdict = "clean as expected"
-				}
-				fmt.Printf("mutation %-20s %-4s expect=%-18s %s\n", mr.Mutation, mr.Sem, orDash(mr.Expected), verdict)
-				if mr.Caught && mr.Run != nil && mr.Run.Violation != nil {
-					fmt.Print(indent(interleave.RenderTrace(mr.Run.Violation)))
-				}
-			}
-		}
-	}
-	if jsonOut {
-		emitJSON(map[string]any{"mutations": results})
-	}
-	return exit
 }
 
 func printRun(res interleave.RunResult) {
@@ -202,8 +87,8 @@ func printRun(res interleave.RunResult) {
 	if res.Violation != nil {
 		status = "VIOLATION"
 	}
-	fmt.Printf("%-16s %-4s %-24s states=%d transitions=%d pruned=%d depth=%d\n",
-		res.Model, res.Sem, status, res.States, res.Transitions, res.Pruned, res.MaxDepth)
+	fmt.Printf("%-16s %-24s states=%d transitions=%d pruned=%d depth=%d\n",
+		res.Model, status, res.States, res.Transitions, res.Pruned, res.MaxDepth)
 	if res.Violation != nil {
 		fmt.Print(indent(interleave.RenderTrace(res.Violation)))
 	}
@@ -233,13 +118,6 @@ func emitJSON(v any) {
 
 func indent(s string) string {
 	return "    " + s[:len(s)-1] + "\n"
-}
-
-func orDash(s string) string {
-	if s == "" {
-		return "-"
-	}
-	return s
 }
 
 func fatal(err error) {

@@ -1,7 +1,7 @@
 package interleave
 
 // Exported facade for cmd/sprwl-model: one type-checked module load,
-// reused across every config and mutation build.
+// reused across every config build.
 
 // Extractor wraps the loaded, type-checked module.
 type Extractor struct{ ex *extractor }
@@ -15,13 +15,7 @@ func NewExtractor(dir string) (*Extractor, error) {
 	return &Extractor{ex: ex}, nil
 }
 
-// Build extracts and assembles the named shipped configuration,
-// unmutated.
+// Build extracts and assembles the named shipped configuration.
 func (e *Extractor) Build(name string) (*Model, error) {
-	return BuildConfig(e.ex, name, nil)
-}
-
-// Mutate runs the named seeded-bug self-test under both semantics.
-func (e *Extractor) Mutate(mut Mutation, opts ExploreOpts) []MutationResult {
-	return RunMutation(e.ex, mut, opts)
+	return BuildConfig(e.ex, name)
 }

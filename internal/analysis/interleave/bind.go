@@ -6,7 +6,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"sprwl/internal/analysis/driver"
 )
@@ -24,7 +23,7 @@ import (
 type cellKind uint8
 
 const (
-	plainCell  cellKind = iota // ordinary struct field (TSO-bufferable)
+	plainCell  cellKind = iota // ordinary struct field, guarded by a mutex
 	atomicCell                 // sync/atomic field (SC)
 	mutexCell                  // sync.Mutex
 	condCell                   // sync.Cond sharing the mutex's cell
@@ -146,13 +145,6 @@ type extractOpts struct {
 	// writeVal is the value a writer body stores (unique per thread so a
 	// torn section is observable).
 	writeVal uint64
-	// skipCalls drops the emission of matching inlined calls — the
-	// mutation hook. An entry matches when the callee's qualified name
-	// has the entry as a suffix (e.g. "Hub.Wake").
-	skipCalls []string
-	// plainStores clears the Atomic flag on stores whose site path
-	// contains the entry — the fence-removal mutation hook.
-	plainStores []string
 	// dataCells are the two shared words critical-section bodies touch:
 	// writers store writeVal to both, readers load both and assert
 	// equality (the torn-section check).
@@ -291,50 +283,4 @@ func (ex *extractor) extractRoot(r funcRef, recv *absVal, args []*absVal, opts e
 	lo.emit(Instr{Op: OpHalt, Site: opts.site, Pos: lo.posOf(pkg, decl.Name.Pos())})
 	p := &Prog{Name: r.String(), Code: lo.out, NRegs: int(lo.nextReg)}
 	return p, nil
-}
-
-// qualifiedName renders a callee for skipCalls matching: "Type.Method" or
-// "pkgname.Func".
-func qualifiedName(fn *types.Func) string {
-	sig := fn.Type().(*types.Signature)
-	if recv := sig.Recv(); recv != nil {
-		t := recv.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			return n.Obj().Name() + "." + fn.Name()
-		}
-	}
-	return fn.Pkg().Name() + "." + fn.Name()
-}
-
-func matchesSuffix(patterns []string, name string) bool {
-	for _, p := range patterns {
-		if name == p || strings.HasSuffix(name, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// skipCall decides whether the drop-call mutation deletes this callee.
-// A plain pattern ("Hub.Wake") suffix-matches the qualified callee name
-// anywhere in the thread; a pattern containing ">" ("finishWrite>Hub.Wake")
-// additionally pins the inline-site chain, so one call site can be
-// deleted while other callers of the same function keep their calls.
-func (f *frame) skipCall(qname string) bool {
-	full := f.site + ">" + qname
-	for _, p := range f.lo.opts.skipCalls {
-		if strings.Contains(p, ">") {
-			if strings.Contains(full, p) {
-				return true
-			}
-			continue
-		}
-		if qname == p || strings.HasSuffix(qname, p) {
-			return true
-		}
-	}
-	return false
 }

@@ -175,32 +175,13 @@ func (b *binder) handleObj(slot int) *object {
 	})
 }
 
-// threadMut carries one mutation's per-thread hooks (see mutate.go).
-type threadMut struct {
-	// applyTo matches thread-name prefixes ("R", "W", "R0").
-	applyTo     string
-	skipCalls   []string
-	plainStores []string
-	// swapArriveCheck reorders the reader's flag store after the
-	// fallback-lock check (the classic flag-then-check inversion).
-	swapArriveCheck bool
-}
-
-func (tm *threadMut) appliesTo(name string) bool {
-	return tm != nil && strings.HasPrefix(name, tm.applyTo)
-}
-
 // extractThread compiles one protocol root for one thread.
-func extractThread(ex *extractor, b *binder, name string, root funcRef, slot int, role csRole, writeVal uint64, tm *threadMut) (*Prog, error) {
+func extractThread(ex *extractor, b *binder, name string, root funcRef, slot int, role csRole, writeVal uint64) (*Prog, error) {
 	opts := extractOpts{
 		site:      name,
 		role:      role,
 		writeVal:  writeVal,
 		dataCells: [2]uint64{cellData0, cellData1},
-	}
-	if tm.appliesTo(name) {
-		opts.skipCalls = tm.skipCalls
-		opts.plainStores = tm.plainStores
 	}
 	h := b.handleObj(slot)
 	csID := intConst(0)
@@ -208,11 +189,6 @@ func extractThread(ex *extractor, b *binder, name string, root funcRef, slot int
 	p, err := ex.extractRoot(root, objVal(h), []*absVal{csID, body}, opts)
 	if err != nil {
 		return nil, fmt.Errorf("thread %s: %w", name, err)
-	}
-	if tm.appliesTo(name) && tm.swapArriveCheck {
-		if err := swapFlagCheck(p); err != nil {
-			return nil, fmt.Errorf("thread %s: %w", name, err)
-		}
 	}
 	p.Name = name
 	return p, nil
@@ -297,7 +273,7 @@ var configDocs = map[string]string{
 	"vsgl-1r1w":      "1 reader + 1 fallback writer with VersionedSGL: §3.3 registration/gating handshake",
 }
 
-var configBuilders = map[string]func(ex *extractor, tm *threadMut) (*Model, error){
+var configBuilders = map[string]func(ex *extractor) (*Model, error){
 	"park-handshake": buildParkHandshake,
 	"mutex-2w":       buildMutex2W,
 	"mutex-2r1w":     buildMutex2R1W,
@@ -306,23 +282,22 @@ var configBuilders = map[string]func(ex *extractor, tm *threadMut) (*Model, erro
 	"vsgl-1r1w":      buildVSGL1R1W,
 }
 
-// BuildConfig extracts and assembles a shipped configuration; tm (may be
-// nil) applies one mutation's hooks.
-func BuildConfig(ex *extractor, name string, tm *threadMut) (*Model, error) {
+// BuildConfig extracts and assembles a shipped configuration.
+func BuildConfig(ex *extractor, name string) (*Model, error) {
 	b, ok := configBuilders[name]
 	if !ok {
 		return nil, fmt.Errorf("interleave: unknown config %q (have %s)", name, strings.Join(ConfigNames(), ", "))
 	}
-	return b(ex, tm)
+	return b(ex)
 }
 
-func buildMutex2W(ex *extractor, tm *threadMut) (*Model, error) {
+func buildMutex2W(ex *extractor) (*Model, error) {
 	b := &binder{threads: 2, parker: true}
-	w0, err := extractThread(ex, b, "W0", writeRoot, -1, csWriter, 1, tm)
+	w0, err := extractThread(ex, b, "W0", writeRoot, -1, csWriter, 1)
 	if err != nil {
 		return nil, err
 	}
-	w1, err := extractThread(ex, b, "W1", writeRoot, -1, csWriter, 2, tm)
+	w1, err := extractThread(ex, b, "W1", writeRoot, -1, csWriter, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -335,17 +310,17 @@ func buildMutex2W(ex *extractor, tm *threadMut) (*Model, error) {
 	}, nil
 }
 
-func buildMutex2R1W(ex *extractor, tm *threadMut) (*Model, error) {
+func buildMutex2R1W(ex *extractor) (*Model, error) {
 	b := &binder{threads: 3, parker: true}
-	r0, err := extractThread(ex, b, "R0", readRoot, 0, csReader, 0, tm)
+	r0, err := extractThread(ex, b, "R0", readRoot, 0, csReader, 0)
 	if err != nil {
 		return nil, err
 	}
-	r1, err := extractThread(ex, b, "R1", readRoot, 1, csReader, 0, tm)
+	r1, err := extractThread(ex, b, "R1", readRoot, 1, csReader, 0)
 	if err != nil {
 		return nil, err
 	}
-	w, err := extractThread(ex, b, "W", writeRoot, 2, csWriter, 7, tm)
+	w, err := extractThread(ex, b, "W", writeRoot, 2, csWriter, 7)
 	if err != nil {
 		return nil, err
 	}
@@ -358,17 +333,17 @@ func buildMutex2R1W(ex *extractor, tm *threadMut) (*Model, error) {
 	}, nil
 }
 
-func buildRSync2R1W(ex *extractor, tm *threadMut) (*Model, error) {
+func buildRSync2R1W(ex *extractor) (*Model, error) {
 	b := &binder{threads: 3, parker: true, opts: coreOptions{ReaderSync: true, JoinWaiters: true}}
-	r0, err := extractThread(ex, b, "R0", readRoot, 0, csReader, 0, tm)
+	r0, err := extractThread(ex, b, "R0", readRoot, 0, csReader, 0)
 	if err != nil {
 		return nil, err
 	}
-	r1, err := extractThread(ex, b, "R1", readRoot, 1, csReader, 0, tm)
+	r1, err := extractThread(ex, b, "R1", readRoot, 1, csReader, 0)
 	if err != nil {
 		return nil, err
 	}
-	w, err := extractThread(ex, b, "W", writeRoot, 2, csWriter, 7, tm)
+	w, err := extractThread(ex, b, "W", writeRoot, 2, csWriter, 7)
 	if err != nil {
 		return nil, err
 	}
@@ -381,13 +356,13 @@ func buildRSync2R1W(ex *extractor, tm *threadMut) (*Model, error) {
 	}, nil
 }
 
-func buildBravo1R1W(ex *extractor, tm *threadMut) (*Model, error) {
+func buildBravo1R1W(ex *extractor) (*Model, error) {
 	b := &binder{threads: 2, parker: true, bravo: true, opts: coreOptions{UseBravo: true}}
-	r0, err := extractThread(ex, b, "R0", readRoot, 0, csReader, 0, tm)
+	r0, err := extractThread(ex, b, "R0", readRoot, 0, csReader, 0)
 	if err != nil {
 		return nil, err
 	}
-	w, err := extractThread(ex, b, "W", writeRoot, 1, csWriter, 7, tm)
+	w, err := extractThread(ex, b, "W", writeRoot, 1, csWriter, 7)
 	if err != nil {
 		return nil, err
 	}
@@ -404,13 +379,13 @@ func buildBravo1R1W(ex *extractor, tm *threadMut) (*Model, error) {
 	}, nil
 }
 
-func buildVSGL1R1W(ex *extractor, tm *threadMut) (*Model, error) {
+func buildVSGL1R1W(ex *extractor) (*Model, error) {
 	b := &binder{threads: 2, parker: true, opts: coreOptions{VersionedSGL: true}}
-	r0, err := extractThread(ex, b, "R0", readRoot, 0, csReader, 0, tm)
+	r0, err := extractThread(ex, b, "R0", readRoot, 0, csReader, 0)
 	if err != nil {
 		return nil, err
 	}
-	w, err := extractThread(ex, b, "W", writeRoot, 1, csWriter, 7, tm)
+	w, err := extractThread(ex, b, "W", writeRoot, 1, csWriter, 7)
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +404,7 @@ func buildVSGL1R1W(ex *extractor, tm *threadMut) (*Model, error) {
 // it; the waker stores the phase, then calls the real Wake. The glue
 // around the extracted programs is the minimal wait-site loop; Park and
 // Wake themselves are compiled from source.
-func buildParkHandshake(ex *extractor, tm *threadMut) (*Model, error) {
+func buildParkHandshake(ex *extractor) (*Model, error) {
 	b := &binder{threads: 2, parker: true}
 	tbl := b.tableObj()
 
@@ -457,32 +432,19 @@ func buildParkHandshake(ex *extractor, tm *threadMut) (*Model, error) {
 	code = append(code, Instr{Op: OpHalt, Site: "waiter"})
 	waiter := &Prog{Name: "waiter", Code: code, NRegs: parkProg.NRegs + 1}
 
-	// Waker: store phase = 1 (the retirement store), then the real Wake —
-	// unless the drop-wake mutation deleted it.
-	var wcode []Instr
-	wcode = append(wcode, Instr{Op: OpStore, Loc: Konst(cellPhase), Val: Konst(1), Atomic: true, Site: "waker", Note: "phase store"})
-	dropWake := tm.appliesTo("waker") && matchesSuffix(tm.skipCalls, "Table.Wake")
-	if !dropWake {
-		wakeProg, err := ex.extractRoot(
-			funcRef{pkgPath: pkgPark, recv: "Table", name: "Wake"},
-			objVal(b.tableObj()),
-			[]*absVal{numVal(Konst(cellPhase))},
-			extractOpts{site: "waker"},
-		)
-		if err != nil {
-			return nil, err
-		}
-		wcode = appendProg(wcode, wakeProg, -1)
-	} else {
-		wcode = append(wcode, Instr{Op: OpHalt, Site: "waker"})
+	// Waker: store phase = 1 (the retirement store), then the real Wake.
+	wakeProg, err := ex.extractRoot(
+		funcRef{pkgPath: pkgPark, recv: "Table", name: "Wake"},
+		objVal(b.tableObj()),
+		[]*absVal{numVal(Konst(cellPhase))},
+		extractOpts{site: "waker"},
+	)
+	if err != nil {
+		return nil, err
 	}
-	nregs := 0
-	for _, in := range wcode {
-		if int(in.Dst) >= nregs {
-			nregs = int(in.Dst) + 1
-		}
-	}
-	waker := &Prog{Name: "waker", Code: wcode, NRegs: nregs}
+	wcode := []Instr{{Op: OpStore, Loc: Konst(cellPhase), Val: Konst(1), Atomic: true, Site: "waker", Note: "phase store"}}
+	wcode = appendProg(wcode, wakeProg, -1)
+	waker := &Prog{Name: "waker", Code: wcode, NRegs: wakeProg.NRegs}
 
 	return &Model{
 		Name:      "park-handshake",
@@ -515,71 +477,6 @@ func appendProg(dst []Instr, src *Prog, haltTo int) []Instr {
 		dst = append(dst, in)
 	}
 	return dst
-}
-
-// swapFlagCheck applies the reordered-flag-store mutation: the reader's
-// Arrive store and the following fallback-lock check load exchange
-// places, turning flag-then-check into check-then-flag. The transform
-// verifies the two steps are joined by a linear invisible chain with no
-// outside jumps into it, so the swap is exactly a reorder of the two
-// shared-memory accesses.
-func swapFlagCheck(p *Prog) error {
-	pcS := -1
-	for i := range p.Code {
-		in := &p.Code[i]
-		if in.Op == OpStore && strings.Contains(in.Site, "Arrive") {
-			pcS = i
-			break
-		}
-	}
-	if pcS < 0 {
-		return fmt.Errorf("swapFlagCheck: no Arrive store in %s", p.Name)
-	}
-	chain := map[int]bool{}
-	pc := pcS + 1
-	for {
-		if pc < 0 || pc >= len(p.Code) || chain[pc] {
-			return fmt.Errorf("swapFlagCheck: no linear path from the Arrive store to a check load")
-		}
-		in := &p.Code[pc]
-		if in.Op.Visible() {
-			if in.Op != OpLoad {
-				return fmt.Errorf("swapFlagCheck: next visible step after Arrive is %s, want load", in.Op.Name())
-			}
-			break
-		}
-		chain[pc] = true
-		switch in.Op {
-		case OpJump:
-			pc = in.A
-		case OpLocal:
-			pc++
-		default:
-			return fmt.Errorf("swapFlagCheck: %s between the Arrive store and the check load", in.Op.Name())
-		}
-	}
-	pcL := pc
-	// No instruction outside the chain may jump into it (or at the load):
-	// entering mid-chain would execute the relocated store on a path that
-	// previously performed only the load.
-	for i := range p.Code {
-		if i == pcS || chain[i] {
-			continue
-		}
-		in := &p.Code[i]
-		switch in.Op {
-		case OpJump:
-			if chain[in.A] || in.A == pcL {
-				return fmt.Errorf("swapFlagCheck: external jump into the reorder window")
-			}
-		case OpBranch, OpChoice:
-			if chain[in.A] || chain[in.B] || in.A == pcL || in.B == pcL {
-				return fmt.Errorf("swapFlagCheck: external branch into the reorder window")
-			}
-		}
-	}
-	p.Code[pcS], p.Code[pcL] = p.Code[pcL], p.Code[pcS]
-	return nil
 }
 
 func max(a, b int) int {

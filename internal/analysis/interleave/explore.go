@@ -23,14 +23,10 @@ type ExploreOpts struct {
 	// MaxStates aborts the search (Complete=false) after this many
 	// distinct states; 0 means DefaultMaxStates.
 	MaxStates int
-	// MaxDepth bounds the schedule length; 0 means DefaultMaxDepth.
-	MaxDepth int
-	// NoMinimize skips the BFS shortest-trace pass on violation.
-	NoMinimize bool
 }
 
-// Exploration bound defaults: sized so every shipped config finishes in
-// CI-short time.
+// Exploration bounds: sized so every shipped config finishes in CI-short
+// time. DefaultMaxDepth bounds the schedule length.
 const (
 	DefaultMaxStates = 2_000_000
 	DefaultMaxDepth  = 4096
@@ -44,10 +40,9 @@ type Violation struct {
 	Minimized bool          `json:"minimized"`
 }
 
-// RunResult is the outcome of exploring one model under one semantics.
+// RunResult is the outcome of exploring one model.
 type RunResult struct {
 	Model       string     `json:"model"`
-	Sem         string     `json:"sem"`
 	Violation   *Violation `json:"violation,omitempty"`
 	States      uint64     `json:"states"`
 	Transitions uint64     `json:"transitions"`
@@ -56,20 +51,17 @@ type RunResult struct {
 	Complete    bool       `json:"complete"`
 }
 
-// RunModel explores m exhaustively (within bounds) under sem.
-func RunModel(m *Model, sem Sem, opts ExploreOpts) RunResult {
+// RunModel explores m exhaustively (within bounds).
+func RunModel(m *Model, opts ExploreOpts) RunResult {
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = DefaultMaxStates
 	}
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = DefaultMaxDepth
-	}
 	e := &explorer{
-		mc:      newMachine(m, sem),
+		mc:      newMachine(m),
 		opts:    opts,
 		visited: map[[2]uint64][]uint64{},
 	}
-	res := RunResult{Model: m.Name, Sem: sem.String(), Complete: true}
+	res := RunResult{Model: m.Name, Complete: true}
 
 	init, viol := e.mc.initState()
 	if viol != nil {
@@ -85,14 +77,12 @@ func RunModel(m *Model, sem Sem, opts ExploreOpts) RunResult {
 	res.Complete = !e.bailed
 	if e.viol != nil {
 		v := &Violation{Kind: e.viol.kind, Msg: e.viol.msg, Trace: e.trace}
-		if !opts.NoMinimize {
-			if mv, short, ok := e.minimize(v.Kind, len(v.Trace)); ok {
-				// The shortest witness of the same kind need not be the
-				// same state: report its own message with its trace.
-				v.Msg = mv.msg
-				v.Trace = short
-				v.Minimized = true
-			}
+		if mv, short, ok := e.minimize(v.Kind, len(v.Trace)); ok {
+			// The shortest witness of the same kind need not be the same
+			// state: report its own message with its trace.
+			v.Msg = mv.msg
+			v.Trace = short
+			v.Minimized = true
 		}
 		res.Violation = v
 	}
@@ -133,7 +123,7 @@ func (e *explorer) dfs(s *machState, sleep uint64, depth int) bool {
 	if depth > e.deepest {
 		e.deepest = depth
 	}
-	if depth >= e.opts.MaxDepth {
+	if depth >= DefaultMaxDepth {
 		e.bailed = true
 		return false
 	}

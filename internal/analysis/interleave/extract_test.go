@@ -101,38 +101,6 @@ func TestExtractRequiresDirective(t *testing.T) {
 	}
 }
 
-// TestSkipCallSitePattern: a ">"-qualified drop-call pattern deletes only
-// the named inline site, not every caller of the function.
-func TestSkipCallSitePattern(t *testing.T) {
-	ex := testExtractor(t)
-	b := &binder{threads: 3, parker: true, opts: coreOptions{ReaderSync: true}}
-	full, err := extractThread(ex, b, "W", writeRoot, 2, csWriter, 7, nil)
-	if err != nil {
-		t.Fatalf("extract writer: %v", err)
-	}
-	mut, err := extractThread(ex, b, "W", writeRoot, 2, csWriter, 7,
-		&threadMut{applyTo: "W", skipCalls: []string{"finishWrite>Hub.Wake"}})
-	if err != nil {
-		t.Fatalf("extract mutated writer: %v", err)
-	}
-	if got, want := full.VisibleSteps(), mut.VisibleSteps(); got <= want {
-		t.Errorf("dropping finishWrite's wake did not shrink the program: full=%d mutated=%d", got, want)
-	}
-	// The unlock path's wake (SpinMutex.Unlock -> Hub.Wake) must survive:
-	// the mutated writer still loads some shard waiters word.
-	names := func(c uint64) string { return (&Model{CellNames: cellNames(3)}).CellName(c) }
-	anyShard := false
-	for _, cell := range mut.Footprint(names) {
-		if strings.Contains(cell, "shard[") {
-			anyShard = true
-			break
-		}
-	}
-	if !anyShard {
-		t.Errorf("site-qualified skip removed every park-shard access: %v", mut.Footprint(names))
-	}
-}
-
 func progDump(p *Prog) string {
 	var b strings.Builder
 	for i := range p.Code {

@@ -3,7 +3,6 @@ package interleave
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"sprwl/internal/env"
 )
@@ -19,10 +18,6 @@ import (
 //     an OpSpin when the waiter has no parker).
 //  3. Everything else inlines from source. Interface calls (park.Parker)
 //     resolve through the bound object's concrete type.
-//
-// The skipCalls/plainStores hooks of the mutation mode act here: a skipped
-// call vanishes (its arguments included — "the call was deleted"), a
-// matched store loses its Atomic flag.
 
 func (f *frame) lowerCall(call *ast.CallExpr) (*absVal, error) {
 	// Type conversions: uint64(x), memmodel.Addr(i), int(...).
@@ -106,26 +101,12 @@ func (f *frame) numArgs(call *ast.CallExpr, want int) ([]*Expr, error) {
 	return out, nil
 }
 
-// storeAtomic reports whether a store at the current site keeps its Atomic
-// flag (the plainStores mutation strips it).
-func (lo *lowerer) storeAtomic() bool {
-	for _, p := range lo.opts.plainStores {
-		if strings.Contains(lo.curSite, p) {
-			return false
-		}
-	}
-	return true
-}
-
 // inlineStatic inlines a function with known source: package-level
 // functions and concrete methods.
 func (f *frame) inlineStatic(call *ast.CallExpr, fn *types.Func, recv *absVal) (*absVal, error) {
-	if f.skipCall(qualifiedName(fn)) {
-		return numVal(Konst(0)), nil
-	}
 	src, ok := f.lo.ex.prog.FuncSource(fn)
 	if !ok {
-		return nil, f.errAt(call, "no source for %s (outside the module?)", qualifiedName(fn))
+		return nil, f.errAt(call, "no source for %s (outside the module?)", fn.FullName())
 	}
 	args, err := f.evalArgs(call)
 	if err != nil {
@@ -141,9 +122,6 @@ func (f *frame) inlineStatic(call *ast.CallExpr, fn *types.Func, recv *absVal) (
 func (f *frame) objMethod(call *ast.CallExpr, o *object, selIdent *ast.Ident, name string) (*absVal, error) {
 	if o.isNil {
 		f.lo.emit(Instr{Op: OpTrap, Note: "method " + name + " on nil " + o.name})
-		return numVal(Konst(0)), nil
-	}
-	if f.skipCall(o.kind + "." + name) {
 		return numVal(Konst(0)), nil
 	}
 	switch o.kind {
@@ -189,9 +167,6 @@ func (f *frame) inlineConcrete(call *ast.CallExpr, o *object, name string) (*abs
 	}
 	ref := o.ref
 	ref.name = name
-	if f.skipCall(ref.recv + "." + name) {
-		return numVal(Konst(0)), nil
-	}
 	pkg, decl, err := f.lo.ex.lookup(ref)
 	if err != nil {
 		return nil, f.errAt(call, "%v", err)
@@ -221,7 +196,7 @@ func (f *frame) envMethod(call *ast.CallExpr, name string) (*absVal, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.lo.emit(Instr{Op: OpStore, Loc: a[0], Val: a[1], Atomic: f.lo.storeAtomic()})
+		f.lo.emit(Instr{Op: OpStore, Loc: a[0], Val: a[1], Atomic: true})
 		return nil, nil
 	case "CAS":
 		a, err := f.numArgs(call, 3)
@@ -284,7 +259,7 @@ func (f *frame) waiterMethod(call *ast.CallExpr, o *object, name string) (*absVa
 			return nil, f.errAt(call, "non-numeric Pause args")
 		}
 		p, ok := o.fields["P"]
-		if !ok || p.obj == nil || p.obj.isNil || f.skipCall("Table.Park") {
+		if !ok || p.obj == nil || p.obj.isNil {
 			// No parker: Pause only spins, and the caller's loop re-checks
 			// once some other thread has changed memory.
 			f.lo.emit(Instr{Op: OpSpin, Note: "spin"})
@@ -351,7 +326,7 @@ func (f *frame) cellMethod(call *ast.CallExpr, c *cellRef, name string) (*absVal
 			if err != nil {
 				return nil, err
 			}
-			f.lo.emit(Instr{Op: OpStore, Loc: c.addr, Val: a[0], Atomic: f.lo.storeAtomic()})
+			f.lo.emit(Instr{Op: OpStore, Loc: c.addr, Val: a[0], Atomic: true})
 			return nil, nil
 		case "Add":
 			a, err := f.numArgs(call, 1)

@@ -1,43 +1,6 @@
 package interleave
 
-import (
-	"fmt"
-	"sort"
-)
-
-// Sem selects the memory semantics the machine executes under.
-type Sem uint8
-
-// Memory semantics.
-const (
-	// SemSC is sequential consistency: every store is immediately
-	// globally visible.
-	SemSC Sem = iota
-	// SemTSO adds per-thread FIFO store buffers: plain stores are
-	// buffered and drain nondeterministically; atomic stores, RMWs, CAS,
-	// and mutex/condvar operations drain the issuing thread's buffer
-	// first (x86-TSO: fenced stores, plain loads).
-	SemTSO
-)
-
-// String renders the semantics name as used by the -sem flag.
-func (s Sem) String() string {
-	if s == SemTSO {
-		return "tso"
-	}
-	return "sc"
-}
-
-// ParseSem parses a -sem flag value.
-func ParseSem(s string) (Sem, error) {
-	switch s {
-	case "sc":
-		return SemSC, nil
-	case "tso":
-		return SemTSO, nil
-	}
-	return SemSC, fmt.Errorf("unknown memory semantics %q (want sc or tso)", s)
-}
+import "fmt"
 
 // tstatus is a thread's scheduling state.
 type tstatus uint8
@@ -51,17 +14,12 @@ const (
 	tsHalted
 )
 
-type bufEntry struct {
-	addr, val uint64
-}
-
 type threadState struct {
 	pc     int
 	status tstatus
 	wait   uint64 // condvar/mutex cell while tsSleep/tsReacq
 	sect   int8   // -1 outside, 0 reader section, 1 writer section
 	regs   []uint64
-	buf    []bufEntry // TSO store buffer, oldest first
 	// dirty: another thread changed a shared cell since this thread's
 	// last OpSpin (tracked only for threads whose program spins).
 	dirty bool
@@ -82,7 +40,6 @@ func (s *machState) clone() *machState {
 	for i := range s.thr {
 		t := s.thr[i]
 		t.regs = append([]uint64(nil), t.regs...)
-		t.buf = append([]bufEntry(nil), t.buf...)
 		n.thr[i] = t
 	}
 	return n
@@ -115,11 +72,6 @@ func (s *machState) hash() [2]uint64 {
 		for _, r := range t.regs {
 			mix(r)
 		}
-		mix(uint64(len(t.buf)))
-		for _, e := range t.buf {
-			mix(e.addr)
-			mix(e.val)
-		}
 	}
 	return [2]uint64{h1, h2}
 }
@@ -133,8 +85,6 @@ const (
 	// tChoiceA / tChoiceB take the two arms of an OpChoice.
 	tChoiceA
 	tChoiceB
-	// tFlush drains the oldest entry of the thread's TSO store buffer.
-	tFlush
 	// tReacq reacquires the condvar mutex after a broadcast.
 	tReacq
 )
@@ -183,28 +133,23 @@ type stepViol struct {
 	msg  string
 }
 
-// machine executes a Model under one semantics.
+// machine executes a Model under sequential consistency: every step
+// acts on the one shared store at once.
 type machine struct {
-	m      *Model
-	sem    Sem
-	maxBuf int
+	m *Model
 	// spins marks the threads whose program contains an OpSpin: only
 	// their dirty bits are ever read, so only they get one.
 	spins []bool
 }
 
-func newMachine(m *Model, sem Sem) *machine {
-	mb := m.MaxBuf
-	if mb <= 0 {
-		mb = DefaultMaxBuf
-	}
+func newMachine(m *Model) *machine {
 	spins := make([]bool, len(m.Threads))
 	for i, th := range m.Threads {
 		for _, in := range th.Prog.Code {
 			spins[i] = spins[i] || in.Op == OpSpin
 		}
 	}
-	return &machine{m: m, sem: sem, maxBuf: mb, spins: spins}
+	return &machine{m: m, spins: spins}
 }
 
 func (mc *machine) initState() (*machState, *stepViol) {
@@ -271,23 +216,6 @@ func (mc *machine) normalize(s *machState, i int) *stepViol {
 	}
 }
 
-// bufLoad reads addr as thread t sees it: own store buffer first (newest
-// match), then memory.
-func (mc *machine) bufLoad(s *machState, i int, addr uint64) uint64 {
-	if mc.sem == SemTSO {
-		buf := s.thr[i].buf
-		for j := len(buf) - 1; j >= 0; j-- {
-			if buf[j].addr == addr {
-				return buf[j].val
-			}
-		}
-	}
-	if addr < uint64(len(s.mem)) {
-		return s.mem[addr]
-	}
-	return 0
-}
-
 // write stores val to memory on thread i's behalf. A change of value
 // marks every other spinning thread dirty, enabling its next OpSpin.
 func (mc *machine) write(s *machState, i int, addr, val uint64) {
@@ -300,13 +228,6 @@ func (mc *machine) write(s *machState, i int, addr, val uint64) {
 			s.thr[j].dirty = true
 		}
 	}
-}
-
-func (mc *machine) flushAll(s *machState, i int) {
-	for _, e := range s.thr[i].buf {
-		mc.write(s, i, e.addr, e.val)
-	}
-	s.thr[i].buf = s.thr[i].buf[:0]
 }
 
 // enabled returns every transition schedulable from s.
@@ -339,9 +260,6 @@ func (mc *machine) enabled(s *machState) []transition {
 				out = append(out, transition{i, tStep})
 			}
 		}
-		if mc.sem == SemTSO && len(t.buf) > 0 && t.status != tsHalted {
-			out = append(out, transition{i, tFlush})
-		}
 	}
 	return out
 }
@@ -353,48 +271,24 @@ func (mc *machine) footprint(s *machState, tr transition) []access {
 	switch tr.kind {
 	case tChoiceA, tChoiceB:
 		return nil
-	case tFlush:
-		if len(t.buf) == 0 {
-			return nil
-		}
-		return []access{{t.buf[0].addr, true}}
 	case tReacq:
 		return []access{{t.wait, true}}
 	}
 	in := &mc.m.Threads[tr.thread].Prog.Code[t.pc]
-	var out []access
-	addFlush := func() {
-		if mc.sem == SemTSO {
-			for _, e := range t.buf {
-				out = append(out, access{e.addr, true})
-			}
-		}
-	}
 	switch in.Op {
 	case OpLoad:
-		out = append(out, access{in.Loc.Eval(t.regs), false})
-	case OpStore:
-		if in.Atomic {
-			addFlush()
-		} else if mc.sem == SemTSO && len(t.buf) >= mc.maxBuf {
-			out = append(out, access{t.buf[0].addr, true})
-		}
-		out = append(out, access{in.Loc.Eval(t.regs), true})
+		return []access{{in.Loc.Eval(t.regs), false}}
+	case OpStore, OpMutexLock, OpMutexUnlock, OpCondWait, OpCondBroadcast:
+		return []access{{in.Loc.Eval(t.regs), true}}
 	case OpRMWAdd, OpCAS:
-		addFlush()
 		a := in.Loc.Eval(t.regs)
-		out = append(out, access{a, false}, access{a, true})
-	case OpMutexLock, OpMutexUnlock, OpCondWait, OpCondBroadcast:
-		addFlush()
-		out = append(out, access{in.Loc.Eval(t.regs), true})
+		return []access{{a, false}, {a, true}}
 	case OpCsEnter, OpCsExit:
-		out = append(out, access{csCell, true})
+		return []access{{csCell, true}}
 	case OpSpin:
-		out = append(out, access{anyCell, false})
-	case OpHalt:
-		addFlush()
+		return []access{{anyCell, false}}
 	}
-	return out
+	return nil
 }
 
 // dependent reports whether two transitions' footprints conflict (share a
@@ -437,14 +331,7 @@ func (mc *machine) apply(s *machState, tr transition) (*machState, *stepViol, Tr
 
 	store := func(addr, val uint64) { mc.write(n, i, addr, val) }
 
-	switch tr.kind {
-	case tFlush:
-		e := t.buf[0]
-		t.buf = append([]bufEntry(nil), t.buf[1:]...)
-		store(e.addr, e.val)
-		ts.Desc = fmt.Sprintf("flush store buffer: %s = %d", mc.m.CellName(e.addr), e.val)
-		return n, nil, ts
-	case tReacq:
+	if tr.kind == tReacq {
 		store(t.wait, 1)
 		t.status = tsRun
 		t.pc++ // past the OpCondWait
@@ -476,9 +363,7 @@ func (mc *machine) apply(s *machState, tr transition) (*machState, *stepViol, Tr
 	case OpLoad:
 		addr := in.Loc.Eval(t.regs)
 		var val uint64
-		if mc.sem == SemTSO {
-			val = mc.bufLoad(n, i, addr)
-		} else if addr < uint64(len(n.mem)) {
+		if addr < uint64(len(n.mem)) {
 			val = n.mem[addr]
 		}
 		t.regs[in.Dst] = val
@@ -486,25 +371,9 @@ func (mc *machine) apply(s *machState, tr transition) (*machState, *stepViol, Tr
 	case OpStore:
 		addr := in.Loc.Eval(t.regs)
 		val := in.Val.Eval(t.regs)
-		if mc.sem == SemTSO && !in.Atomic {
-			if len(t.buf) >= mc.maxBuf {
-				e := t.buf[0]
-				t.buf = append([]bufEntry(nil), t.buf[1:]...)
-				store(e.addr, e.val)
-			}
-			t.buf = append(t.buf, bufEntry{addr, val})
-			ts.Desc = fmt.Sprintf("store(buffered) %s = %d", mc.m.CellName(addr), val)
-		} else {
-			if mc.sem == SemTSO {
-				mc.flushAll(n, i)
-			}
-			store(addr, val)
-			ts.Desc = fmt.Sprintf("store %s = %d", mc.m.CellName(addr), val)
-		}
+		store(addr, val)
+		ts.Desc = fmt.Sprintf("store %s = %d", mc.m.CellName(addr), val)
 	case OpRMWAdd:
-		if mc.sem == SemTSO {
-			mc.flushAll(n, i)
-		}
 		addr := in.Loc.Eval(t.regs)
 		d := in.Val.Eval(t.regs)
 		var nv uint64
@@ -515,9 +384,6 @@ func (mc *machine) apply(s *machState, tr transition) (*machState, *stepViol, Tr
 		t.regs[in.Dst] = nv
 		ts.Desc = fmt.Sprintf("rmw-add %s += %d -> %d", mc.m.CellName(addr), int64(d), nv)
 	case OpCAS:
-		if mc.sem == SemTSO {
-			mc.flushAll(n, i)
-		}
 		addr := in.Loc.Eval(t.regs)
 		old := in.Old.Eval(t.regs)
 		nv := in.Val.Eval(t.regs)
@@ -529,23 +395,14 @@ func (mc *machine) apply(s *machState, tr transition) (*machState, *stepViol, Tr
 		t.regs[in.Dst] = ok
 		ts.Desc = fmt.Sprintf("cas %s %d->%d: %d", mc.m.CellName(addr), old, nv, ok)
 	case OpMutexLock:
-		if mc.sem == SemTSO {
-			mc.flushAll(n, i)
-		}
 		addr := in.Loc.Eval(t.regs)
 		store(addr, 1)
 		ts.Desc = "mutex-lock " + mc.m.CellName(addr)
 	case OpMutexUnlock:
-		if mc.sem == SemTSO {
-			mc.flushAll(n, i)
-		}
 		addr := in.Loc.Eval(t.regs)
 		store(addr, 0)
 		ts.Desc = "mutex-unlock " + mc.m.CellName(addr)
 	case OpCondWait:
-		if mc.sem == SemTSO {
-			mc.flushAll(n, i)
-		}
 		addr := in.Loc.Eval(t.regs)
 		store(addr, 0) // release the associated mutex
 		t.status = tsSleep
@@ -553,9 +410,6 @@ func (mc *machine) apply(s *machState, tr transition) (*machState, *stepViol, Tr
 		ts.Desc = "cond-wait: sleep on " + mc.m.CellName(addr)
 		return n, nil, ts // pc stays at the wait until reacquired
 	case OpCondBroadcast:
-		if mc.sem == SemTSO {
-			mc.flushAll(n, i)
-		}
 		addr := in.Loc.Eval(t.regs)
 		woken := 0
 		for j := range n.thr {
@@ -586,9 +440,6 @@ func (mc *machine) apply(s *machState, tr transition) (*machState, *stepViol, Tr
 		t.dirty = false
 		ts.Desc = "spin: memory changed, re-check"
 	case OpHalt:
-		if mc.sem == SemTSO {
-			mc.flushAll(n, i)
-		}
 		t.status = tsHalted
 		ts.Desc = "halt"
 		return n, viol, ts
@@ -664,27 +515,7 @@ func (mc *machine) checkTerminal(s *machState) *stepViol {
 					return &stepViol{ViolFinal, fmt.Sprintf("%s: %s = %d but %s = %d", f.Desc, mc.m.CellName(f.Cells[0]), v0, mc.m.CellName(c), s.mem[c])}
 				}
 			}
-		case FinalNever:
-			hit := true
-			for k, c := range f.Cells {
-				if s.mem[c] != f.Values[k] {
-					hit = false
-					break
-				}
-			}
-			if hit {
-				return &stepViol{ViolFinal, fmt.Sprintf("forbidden outcome reached: %s (%s)", f.Desc, renderOutcome(mc.m, f, s))}
-			}
 		}
 	}
 	return nil
-}
-
-func renderOutcome(m *Model, f Final, s *machState) string {
-	parts := make([]string, 0, len(f.Cells))
-	for _, c := range f.Cells {
-		parts = append(parts, fmt.Sprintf("%s=%d", m.CellName(c), s.mem[c]))
-	}
-	sort.Strings(parts)
-	return fmt.Sprint(parts)
 }

@@ -1,27 +1,29 @@
 // Package interleave is a bounded model checker for the SpRWL
-// synchronization protocol. It closes the gap between the repository's
-// lint-style invariant analyzers (which check *shapes* of code) and the
-// correctness claims the paper and DESIGN argue in prose: writer/reader
-// mutual exclusion of the flag-then-check vs lock-then-drain handshake,
-// absence of lost wakeups in the store-then-wake vs register-then-check
-// parking protocol (DESIGN §10), and BRAVO's writer-side revocation
-// visibility.
+// synchronization protocol. It checks the correctness claims the paper
+// and DESIGN argue in prose: writer/reader mutual exclusion of the
+// flag-then-check vs lock-then-drain handshake, absence of lost wakeups
+// in the store-then-wake vs register-then-check parking protocol (DESIGN
+// §10), and BRAVO's writer-side revocation visibility.
 //
 // The pipeline has three layers:
 //
 //   - An extraction layer (extract.go) compiles //sprwl:model-annotated
 //     functions — the real internal/core reader/writer paths, the real
 //     internal/park Park/Wake, the real internal/readers backends — into
-//     the atomic-step programs defined in this file, using the same
-//     driver/types stack the other analyzers run on. Every atomic
+//     the atomic-step programs defined in this file, over the
+//     type-checked packages internal/analysis/driver loads. Every atomic
 //     load/store/CAS/RMW on simulated shared memory becomes one step;
 //     straight-line thread-local computation coalesces into the preceding
 //     step.
 //
 //   - A small-step machine (machine.go) executes N such programs over one
-//     shared store under either sequential consistency or a TSO
-//     store-buffer semantics, with real blocking semantics for the
-//     mutex/condvar pair inside park.Table.
+//     shared store under sequential consistency, with real blocking
+//     semantics for the mutex/condvar pair inside park.Table. SC is the
+//     whole memory model the protocol needs: its shared words are Go
+//     atomics (sequentially consistent), and its only plain cell, a park
+//     shard's gen, is touched only under the shard mutex, so the
+//     data-race-free program behaves as if sequentially consistent
+//     (DRF-SC). TestOnlyShardGenIsPlain guards that precondition.
 //
 //   - An explorer (explore.go) enumerates all interleavings with
 //     sleep-set partial-order reduction and visited-state hashing,
@@ -32,9 +34,9 @@
 //     exactly such a stuck state), and reconstructs a
 //     minimized counterexample trace on violation.
 //
-// Shipped protocol configurations live in configs.go, hand-built litmus
-// shapes (SB/MP/LB) in litmus.go, and the seeded-bug mutation registry in
-// mutate.go. cmd/sprwl-model is the command-line front end.
+// Shipped protocol configurations live in configs.go; the seeded bugs
+// the checker must catch are patches in scripts/killmatrix (DESIGN §8).
+// cmd/sprwl-model is the command-line front end.
 package interleave
 
 import (
@@ -255,24 +257,18 @@ const (
 	// underapproximate the protocol. Invisible.
 	OpTrap
 
-	// OpLoad reads shared memory: Dst := mem[Loc]. Atomic==true marks a
-	// sequentially-consistent access (everything routed through env.Env
-	// or sync/atomic); Atomic==false is a plain access (park.shard
-	// fields guarded by the shard mutex) that TSO may reorder.
+	// OpLoad reads shared memory: Dst := mem[Loc].
 	OpLoad
-	// OpStore writes shared memory: mem[Loc] := Val. Under TSO a plain
-	// store enters the thread's store buffer; an Atomic store drains the
-	// buffer and hits memory (an SC atomic subsumes the paper's fences).
+	// OpStore writes shared memory: mem[Loc] := Val.
 	OpStore
 	// OpRMWAdd is an atomic fetch-add: Dst := mem[Loc]+Val, stored back.
-	// Always fenced (full drain under TSO), like x86 LOCK ADD.
 	OpRMWAdd
 	// OpCAS is an atomic compare-and-swap: Dst := 1 and mem[Loc] := Val
-	// when mem[Loc] == Old, else Dst := 0. Always fenced.
+	// when mem[Loc] == Old, else Dst := 0.
 	OpCAS
 
 	// OpMutexLock acquires the sync.Mutex modeled at cell Loc; the
-	// thread blocks while the cell is nonzero. Fenced.
+	// thread blocks while the cell is nonzero.
 	OpMutexLock
 	// OpMutexUnlock releases the mutex at cell Loc.
 	OpMutexUnlock
@@ -336,12 +332,14 @@ type Instr struct {
 	Cond *Expr // branch / assert condition
 	A, B int   // jump / branch / choice targets
 
-	// Atomic marks loads and stores as sequentially consistent. RMW,
-	// CAS, mutex and condvar steps are implicitly fenced regardless.
+	// Atomic marks a load or store routed through env.Env or
+	// sync/atomic. A plain one (Atomic false) touches a park shard's gen
+	// under the shard mutex; TestOnlyShardGenIsPlain keeps it the only
+	// kind, which is what lets the machine run SC alone.
 	Atomic bool
 
 	// Site is the inline path that produced the instruction, e.g.
-	// "Write>writeFallback>lockGL>Lock"; mutations select steps by it.
+	// "Write>writeFallback>lockGL>Lock".
 	Site string
 	// Pos is the module-relative source position, e.g.
 	// "internal/park/park.go:171".
@@ -442,10 +440,6 @@ const (
 	// FinalAllEqual requires every listed cell to hold one common value
 	// (the two halves of the section body were not torn apart).
 	FinalAllEqual
-	// FinalNever forbids the terminal where each listed cell holds its
-	// paired Values entry — how litmus shapes express a forbidden
-	// outcome (SB's r0 == 0 && r1 == 0 under SC).
-	FinalNever
 )
 
 // Final is one predicate every accepted (all-threads-halted) terminal
@@ -453,9 +447,7 @@ const (
 type Final struct {
 	Kind  FinalKind
 	Cells []uint64
-	// Values pairs with Cells for FinalNever.
-	Values []uint64
-	Desc   string
+	Desc  string
 }
 
 // ThreadSpec names one thread of a model.
@@ -477,14 +469,7 @@ type Model struct {
 	CellNames map[uint64]string
 	// Finals are the accepted-terminal predicates.
 	Finals []Final
-	// MaxBuf bounds each thread's TSO store buffer (0 = DefaultMaxBuf).
-	// A full buffer forces a drain step first, keeping the state space
-	// finite.
-	MaxBuf int
 }
-
-// DefaultMaxBuf is the default TSO store-buffer bound.
-const DefaultMaxBuf = 4
 
 // CellName renders a cell address.
 func (m *Model) CellName(c uint64) string {
