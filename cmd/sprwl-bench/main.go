@@ -10,15 +10,16 @@
 //	sprwl-bench -exp all -quick -json bench.json      # JSON results
 //	sprwl-bench -compare BENCH_baseline.json bench.json -threshold 5%
 //	    # threshold-based regression diff of two -json files; exits 1 if
-//	    # any matched point's throughput regressed beyond the threshold
-//	sprwl-bench -mode real -algo SpRWL -threads 4     # library-plane point
+//	    # any matched point's throughput regressed beyond the threshold or
+//	    # any baseline point is missing from the new file
 //	sprwl-bench -trace out.json -algo SpRWL -threads 8
 //	    # one hashmap point with the Chrome-trace sink attached; open
 //	    # out.json in chrome://tracing or https://ui.perfetto.dev
 //	sprwl-bench -trace out.json -waitprof             # plus wait/work table
 //
-// Simulated runs are deterministic: the same seed, flags and build produce
-// identical output regardless of -parallel.
+// Every run is simulated and deterministic: the same seed, flags and build
+// produce identical output regardless of -parallel. The real concurrent
+// runtime is measured by perfbench (perfbench/run.sh), not here.
 package main
 
 import (
@@ -45,7 +46,7 @@ func main() {
 
 func run() error {
 	var (
-		exp      = flag.String("exp", "fig3", "experiment to run: fig3|fig4|fig5|fig6|fig7|extscan|extauto|extvsgl|all, or readers|shards (wall-clock, not part of all)")
+		exp      = flag.String("exp", "fig3", "experiment to run: fig3|fig4|fig5|fig6|fig7|extscan|extauto|extvsgl|all")
 		profile  = flag.String("profile", "broadwell", "machine profile: broadwell|power8")
 		quick    = flag.Bool("quick", false, "thin sweeps and shorten horizons (smoke run)")
 		horizon  = flag.Uint64("horizon", 0, "virtual cycles per data point (0 = default)")
@@ -58,10 +59,8 @@ func run() error {
 		comparePath = flag.String("compare", "", "regression-diff this baseline -json file against the one named by the first positional argument, then exit")
 		threshold   = flag.String("threshold", "5%", "with -compare: relative throughput loss that counts as a regression")
 
-		mode    = flag.String("mode", "sim", "sim (discrete-event figures) or real (library plane)")
-		algo    = flag.String("algo", harness.AlgoSpRWL, "real/trace mode: algorithm ("+strings.Join(harness.AllAlgorithms(), "|")+")")
-		threads = flag.Int("threads", 2, "real/trace mode: worker goroutines")
-		millis  = flag.Uint64("millis", 200, "real mode: wall-clock run length")
+		algo    = flag.String("algo", harness.AlgoSpRWL, "with -trace: algorithm ("+strings.Join(harness.AllAlgorithms(), "|")+")")
+		threads = flag.Int("threads", 2, "with -trace: simulated threads")
 
 		tracePath = flag.String("trace", "", "run one hashmap point with a Chrome-trace sink and write the catapult JSON here")
 		waitprof  = flag.Bool("waitprof", false, "with -trace: also print the wait-vs-work profile table")
@@ -92,55 +91,12 @@ func run() error {
 	}
 
 	if *tracePath != "" {
-		return runTrace(*tracePath, *waitprof, *mode, *algo, *threads, p, *horizon, *seed, *millis)
-	}
-
-	if *mode == "real" {
-		wl := workload.HashmapConfig{Buckets: 256, Items: 16384, LookupsPerRead: 10, UpdatePercent: 10}
-		pt, err := harness.RunHashmapReal(*algo, *threads, p, wl, *millis*1_000_000, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(pt)
-		return nil
+		return runTrace(*tracePath, *waitprof, *algo, *threads, p, *horizon, *seed)
 	}
 
 	opts := harness.RunOpts{Profile: p, Horizon: *horizon, Quick: *quick, Seed: *seed, Parallel: *parallel}
 	if *verbose {
 		opts.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
-
-	if *exp == "readers" || *exp == "shards" {
-		// Wall-clock sweeps on the real runtime: machine-dependent, so
-		// they are not part of -exp all or the -compare regression gate.
-		sweep := harness.ReadersSweep
-		if *exp == "shards" {
-			sweep = harness.ShardsSweep
-		}
-		rep, err := sweep(opts)
-		if err != nil {
-			return err
-		}
-		rep.Format(os.Stdout)
-		if *csvPath != "" {
-			f, err := os.Create(*csvPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := rep.CSV(f); err != nil {
-				return err
-			}
-		}
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			return harness.WriteJSON(f, []*harness.Report{rep})
-		}
-		return nil
 	}
 
 	experiments := harness.Experiments()
@@ -152,7 +108,7 @@ func run() error {
 		sort.Strings(ids)
 	} else {
 		if _, ok := experiments[*exp]; !ok {
-			return fmt.Errorf("unknown experiment %q (want fig3..fig7, readers, shards, or all)", *exp)
+			return fmt.Errorf("unknown experiment %q (want fig3..fig7, extscan, extauto, extvsgl, or all)", *exp)
 		}
 		ids = []string{*exp}
 	}
@@ -196,9 +152,9 @@ func run() error {
 
 // runTrace executes one hashmap data point with the Chrome-trace exporter
 // (and optionally the wait/work profiler) attached, writing the catapult
-// file to path. Simulated by default; -mode real traces the concurrent
-// runtime instead.
-func runTrace(path string, waitprof bool, mode, algo string, threads int, p htm.Profile, horizon, seed, millis uint64) error {
+// file to path. The point is simulated; perfbench's --trace 1 gives the
+// wait/work split of the real runtime.
+func runTrace(path string, waitprof bool, algo string, threads int, p htm.Profile, horizon, seed uint64) error {
 	tr := obs.NewTraceSink(threads)
 	sinks := []obs.Sink{tr}
 	var prof *obs.ProfileSink
@@ -208,16 +164,10 @@ func runTrace(path string, waitprof bool, mode, algo string, threads int, p htm.
 	}
 
 	wl := workload.HashmapConfig{Buckets: 256, Items: 16384, LookupsPerRead: 10, UpdatePercent: 10}
-	var pt harness.Point
-	var err error
-	if mode == "real" {
-		pt, err = harness.RunHashmapReal(algo, threads, p, wl, millis*1_000_000, seed, sinks...)
-	} else {
-		pt, err = harness.RunHashmapPoint(harness.HashmapPointConfig{
-			Algo: algo, Threads: threads, Profile: p,
-			Workload: wl, Horizon: horizon, Seed: seed, Sinks: sinks,
-		})
-	}
+	pt, err := harness.RunHashmapPoint(harness.HashmapPointConfig{
+		Algo: algo, Threads: threads, Profile: p,
+		Workload: wl, Horizon: horizon, Seed: seed, Sinks: sinks,
+	})
 	if err != nil {
 		return err
 	}
@@ -240,7 +190,8 @@ func runTrace(path string, waitprof bool, mode, algo string, threads int, p htm.
 }
 
 // runCompare regression-diffs two -json report files and exits non-zero on
-// any throughput regression beyond the threshold.
+// any throughput regression beyond the threshold or any point missing from
+// the new file.
 func runCompare(oldPath, newPath, thresholdSpec string) error {
 	th, err := parseThreshold(thresholdSpec)
 	if err != nil {
@@ -269,7 +220,7 @@ func runCompare(oldPath, newPath, thresholdSpec string) error {
 	cmp := harness.CompareReports(oldReports, newReports, th)
 	cmp.Format(os.Stdout)
 	if !cmp.OK() {
-		return fmt.Errorf("%d point(s) regressed beyond %.1f%% (%s -> %s)", len(cmp.Regressions), 100*th, oldPath, newPath)
+		return fmt.Errorf("%d point(s) regressed beyond %.1f%%, %d missing (%s -> %s)", len(cmp.Regressions), 100*th, len(cmp.Missing), oldPath, newPath)
 	}
 	return nil
 }

@@ -478,10 +478,3 @@ func appendProg(dst []Instr, src *Prog, haltTo int) []Instr {
 	}
 	return dst
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

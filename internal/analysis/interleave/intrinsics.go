@@ -131,14 +131,9 @@ func (f *frame) objMethod(call *ast.CallExpr, o *object, selIdent *ast.Ident, na
 		// Observability ring: invisible to the protocol's shared state.
 		return numVal(Konst(0)), nil
 	case "est":
-		// Contention estimator: the model pins its outputs so adaptive
-		// branches fold deterministically per configuration.
-		switch name {
-		case "EndTime", "ShouldSample":
-			return numVal(Konst(0)), nil
-		default:
-			return numVal(Konst(0)), nil
-		}
+		// Contention estimator: the model pins every output to 0 so
+		// adaptive branches fold deterministically per configuration.
+		return numVal(Konst(0)), nil
 	case "Waiter":
 		return f.waiterMethod(call, o, name)
 	}

@@ -392,23 +392,6 @@ func (l *Lock) NewDynamicHandle() (rwlock.Handle, error) {
 	return h, nil
 }
 
-// NewDynamicHandleObserved is NewDynamicHandle with an observability ring
-// drawn from the lock's pipeline at ringSlot. Dynamic handles have no
-// thread slot, so the pipeline must be built with extra ring slots for them
-// (the oversubscription harness does: ring 0..threads-1 for static handles,
-// ring threads+i for dynamic reader i); a ringSlot beyond the pipeline's
-// size yields a nil ring, i.e. plain NewDynamicHandle behaviour. The usual
-// ownership rule applies: a ring slot must be unique to one handle, used by
-// one goroutine.
-func (l *Lock) NewDynamicHandleObserved(ringSlot int) (rwlock.Handle, error) {
-	h, err := l.NewDynamicHandle()
-	if err != nil {
-		return nil, err
-	}
-	h.(*handle).ring = l.pipe.Thread(ringSlot)
-	return h, nil
-}
-
 // handle is one thread's endpoint; see rwlock.Handle for the usage
 // contract. Dynamic handles carry slot == -1 and skip every slot-keyed
 // path (HTM attempts, clock advertisement, wait registration, sampling).

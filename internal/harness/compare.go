@@ -10,8 +10,8 @@ import (
 // committed BENCH_baseline.json and a fresh run). Points are matched by
 // (figure, section, algorithm, thread count); a matched point regresses when
 // its new throughput falls more than the threshold fraction below the old
-// one. cmd/sprwl-bench -compare exits non-zero when any regression is found,
-// which is the gate every perf-focused change is judged by.
+// one. cmd/sprwl-bench -compare exits non-zero when any point regressed or
+// vanished, which is the gate every perf-focused change is judged by.
 
 // CompareEntry is one matched data point's throughput delta.
 type CompareEntry struct {
@@ -39,16 +39,16 @@ type Comparison struct {
 	Regressions  []CompareEntry
 	Improvements []CompareEntry
 	Unchanged    []CompareEntry
-	// Missing lists points present only in the old set; Extra lists
-	// points present only in the new set. Neither fails the comparison,
-	// but both are reported: a silently vanished point would otherwise
-	// read as "no regression".
+	// Missing lists points present only in the old set and fails the
+	// comparison: a silently vanished point would otherwise read as "no
+	// regression". Extra lists points present only in the new set and is
+	// only reported.
 	Missing []string
 	Extra   []string
 }
 
 // OK reports whether the comparison passes the regression gate.
-func (c *Comparison) OK() bool { return len(c.Regressions) == 0 }
+func (c *Comparison) OK() bool { return len(c.Regressions) == 0 && len(c.Missing) == 0 }
 
 func relDelta(old, new float64) float64 {
 	switch {

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"os"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -60,14 +62,28 @@ func TestCompareReportsMissingAndExtra(t *testing.T) {
 		Point{Algo: "C", Threads: 2, Throughput: 100},
 	)}
 	c := CompareReports(old, new, 0.05)
-	if !c.OK() {
-		t.Fatal("missing/extra points must not fail the gate")
-	}
 	if len(c.Missing) != 1 || !strings.Contains(c.Missing[0], "B@2") {
 		t.Fatalf("missing = %v, want B@2", c.Missing)
 	}
 	if len(c.Extra) != 1 || !strings.Contains(c.Extra[0], "C@2") {
 		t.Fatalf("extra = %v, want C@2", c.Extra)
+	}
+}
+
+// TestCompareReportsMissingPointFails: a baseline point that vanishes from
+// the new run fails the gate even when every matched point holds, while a
+// point only the new run has is reported and passes.
+func TestCompareReportsMissingPointFails(t *testing.T) {
+	both := []*Report{mkReport("fig",
+		Point{Algo: "A", Threads: 2, Throughput: 100},
+		Point{Algo: "B", Threads: 2, Throughput: 100},
+	)}
+	one := []*Report{mkReport("fig", Point{Algo: "A", Threads: 2, Throughput: 100})}
+	if c := CompareReports(both, one, 0.05); c.OK() || len(c.Regressions) != 0 {
+		t.Fatalf("vanished point: OK=%v regressions=%d, want a failing gate with no regression", c.OK(), len(c.Regressions))
+	}
+	if c := CompareReports(one, both, 0.05); !c.OK() || len(c.Extra) != 1 {
+		t.Fatalf("extra point: OK=%v extra=%v, want a passing gate that reports it", c.OK(), c.Extra)
 	}
 }
 
@@ -94,5 +110,32 @@ func TestReadJSONRoundTripsWriteJSON(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].ID != "fig" || got[0].Sections[0].Points[0].Throughput != 123.5 {
 		t.Fatalf("round trip mismatch: %+v", got[0])
+	}
+}
+
+// TestBaselineHoldsOnlySimulatedFigures: the committed gate baseline holds
+// exactly one report per simulated experiment, so `-exp all -quick -json`
+// can reproduce it and every point it lists is one the gate can match.
+func TestBaselineHoldsOnlySimulatedFigures(t *testing.T) {
+	f, err := os.Open("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reports, err := ReadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []string
+	for _, r := range reports {
+		got = append(got, r.ID)
+	}
+	for id := range Experiments() {
+		want = append(want, id)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("baseline report IDs = %v, want the simulated experiments %v", got, want)
 	}
 }

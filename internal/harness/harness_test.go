@@ -133,18 +133,6 @@ func TestRunTPCCPoint(t *testing.T) {
 	}
 }
 
-func TestRunHashmapReal(t *testing.T) {
-	pt, err := RunHashmapReal(AlgoSpRWL, 2, htm.Power8(),
-		workload.HashmapConfig{Buckets: 64, Items: 2048, LookupsPerRead: 5, UpdatePercent: 20},
-		20_000_000 /* 20ms */, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.Ops == 0 {
-		t.Fatal("real-mode run completed zero operations")
-	}
-}
-
 func TestThreadSweeps(t *testing.T) {
 	full := threadSweep(htm.Broadwell(), false)
 	quick := threadSweep(htm.Broadwell(), true)

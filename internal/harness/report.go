@@ -32,30 +32,13 @@ func (r *Report) Format(w io.Writer) {
 	}
 	for _, sec := range r.Sections {
 		fmt.Fprintf(w, "\n-- %s --\n", sec.Title)
-		// Wait-attribution columns appear only when some point in the
-		// section carries profiler numbers (the oversubscription sweep).
-		waits := false
-		for _, p := range sec.Points {
-			if p.SpinWaitCycles != 0 || p.ParkedCycles != 0 {
-				waits = true
-				break
-			}
-		}
-		fmt.Fprintf(w, "%-14s %7s %12s %8s %7s %7s %7s %7s %7s %12s %12s",
+		fmt.Fprintf(w, "%-14s %7s %12s %8s %7s %7s %7s %7s %7s %12s %12s\n",
 			"algo", "threads", "ops/Mcyc", "aborts%", "HTM%", "ROT%", "GL%", "Unins%", "rdAb%", "rdLat(cyc)", "wrLat(cyc)")
-		if waits {
-			fmt.Fprintf(w, " %14s %14s %8s", "spin(cyc)", "parked(cyc)", "parks")
-		}
-		fmt.Fprintln(w)
 		for _, p := range sec.Points {
-			fmt.Fprintf(w, "%-14s %7d %12.1f %8.1f %7.1f %7.1f %7.1f %7.1f %7.1f %12.0f %12.0f",
+			fmt.Fprintf(w, "%-14s %7d %12.1f %8.1f %7.1f %7.1f %7.1f %7.1f %7.1f %12.0f %12.0f\n",
 				p.Algo, p.Threads, p.Throughput, 100*p.AbortRate,
 				100*p.HTMShare, 100*p.ROTShare, 100*p.GLShare, 100*p.UninsShare,
 				100*p.ReaderShare, p.ReaderLatency, p.WriterLatency)
-			if waits {
-				fmt.Fprintf(w, " %14d %14d %8d", p.SpinWaitCycles, p.ParkedCycles, p.Parks)
-			}
-			fmt.Fprintln(w)
 		}
 	}
 }
@@ -63,18 +46,17 @@ func (r *Report) Format(w io.Writer) {
 // CSV renders every point as comma-separated rows with a header. It
 // returns the first write error.
 func (r *Report) CSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "figure,section,algo,threads,ops,cycles,throughput_ops_per_mcycle,abort_rate,conflict_share,capacity_share,explicit_share,reader_share,htm_share,rot_share,gl_share,unins_share,pess_share,reader_latency_cycles,writer_latency_cycles,reader_p99_cycles,writer_p99_cycles,spin_wait_cycles,parked_cycles,parks"); err != nil {
+	if _, err := fmt.Fprintln(w, "figure,section,algo,threads,ops,cycles,throughput_ops_per_mcycle,abort_rate,conflict_share,capacity_share,explicit_share,reader_share,htm_share,rot_share,gl_share,unins_share,pess_share,reader_latency_cycles,writer_latency_cycles,reader_p99_cycles,writer_p99_cycles"); err != nil {
 		return err
 	}
 	for _, sec := range r.Sections {
 		secName := strings.ReplaceAll(sec.Title, ",", ";")
 		for _, p := range sec.Points {
-			if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%d,%d,%.3f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.1f,%.1f,%d,%d,%d,%d,%d\n",
+			if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%d,%d,%.3f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.1f,%.1f,%d,%d\n",
 				r.ID, secName, p.Algo, p.Threads, p.Ops, p.Cycles, p.Throughput,
 				p.AbortRate, p.ConflictShare, p.CapacityShare, p.ExplicitShare, p.ReaderShare,
 				p.HTMShare, p.ROTShare, p.GLShare, p.UninsShare, p.PessShare,
-				p.ReaderLatency, p.WriterLatency, p.ReaderP99, p.WriterP99,
-				p.SpinWaitCycles, p.ParkedCycles, p.Parks); err != nil {
+				p.ReaderLatency, p.WriterLatency, p.ReaderP99, p.WriterP99); err != nil {
 				return err
 			}
 		}

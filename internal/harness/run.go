@@ -40,24 +40,6 @@ type Point struct {
 	// Mean and tail (p99) end-to-end latencies in cycles.
 	ReaderLatency, WriterLatency float64
 	ReaderP99, WriterP99         uint64
-
-	// Median and deep-tail latencies, filled only by sweeps that report
-	// full distributions (the shards sweep and sprwl-serve). Omitted from
-	// JSON when zero so the simulated baselines' byte layout is
-	// unchanged.
-	ReaderP50  uint64 `json:",omitempty"`
-	WriterP50  uint64 `json:",omitempty"`
-	ReaderP999 uint64 `json:",omitempty"`
-	WriterP999 uint64 `json:",omitempty"`
-
-	// Wait-profiler attribution, filled only by sweeps that attach the
-	// profiler (the oversubscription points): cycles stalled threads
-	// burned actually spinning, cycles they slept parked instead, and the
-	// number of park episodes. Omitted from JSON when zero so the
-	// simulated baselines' byte layout is unchanged.
-	SpinWaitCycles uint64 `json:",omitempty"`
-	ParkedCycles   uint64 `json:",omitempty"`
-	Parks          uint64 `json:",omitempty"`
 }
 
 func pointFrom(algo string, threads int, snap stats.Snapshot, cycles uint64) Point {
@@ -148,57 +130,6 @@ func RunHashmapPoint(cfg HashmapPointConfig) (Point, error) {
 		}
 	})
 	return pointFrom(cfg.Algo, cfg.Threads, col.Snapshot(), cycles), nil
-}
-
-// RunHashmapReal executes the same workload on the real concurrent runtime
-// (goroutines over the htm emulation) for wallNanos nanoseconds. It
-// exercises the library plane end-to-end; scaling numbers are bounded by
-// the host's core count and are not used for the paper's figures. Extra
-// observability sinks (trace exporters, profilers) may be attached; when
-// any are present the runtime also emits per-attempt transaction events.
-func RunHashmapReal(algo string, threads int, profile htm.Profile, wl workload.HashmapConfig, wallNanos uint64, seed uint64, sinks ...obs.Sink) (Point, error) {
-	wl.Validate()
-	words := workload.HashmapWords(wl) + LockWords(threads)
-	rCap, wCap := profile.EffectiveCapacity(threads)
-	space, err := htm.NewSpace(htm.Config{
-		Threads:            threads,
-		Words:              words,
-		ReadCapacityLines:  rCap,
-		WriteCapacityLines: wCap,
-	})
-	if err != nil {
-		return Point{}, err
-	}
-	e := htm.NewRuntime(space, nil)
-	ar := memmodel.NewArena(0, space.Size())
-	col := stats.NewCollector(threads)
-	pipe := col.Pipeline(sinks...)
-	if len(sinks) > 0 {
-		e.AttachObs(pipe)
-	}
-	lock, err := BuildLock(algo, e, ar, threads, workload.NumHashmapCS, pipe)
-	if err != nil {
-		return Point{}, err
-	}
-	hm := workload.SetupHashmap(space, ar, wl, threads)
-
-	start := e.Now()
-	deadline := start + wallNanos
-	done := make(chan struct{})
-	for slot := 0; slot < threads; slot++ {
-		go func(slot int) {
-			defer func() { done <- struct{}{} }()
-			step := hm.Worker(lock.NewHandle(slot), slot, seed)
-			for e.Now() < deadline {
-				step()
-			}
-		}(slot)
-	}
-	for i := 0; i < threads; i++ {
-		<-done
-	}
-	elapsed := e.Now() - start
-	return pointFrom(algo, threads, col.Snapshot(), elapsed), nil
 }
 
 // String renders a Point compactly for logs.

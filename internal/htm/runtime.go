@@ -17,11 +17,10 @@ import (
 // public library runs on; the benchmark harness uses the discrete-event
 // implementation in package sim instead.
 type Runtime struct {
-	space   *Space
-	clock   tsc.Clock
-	pipe    *obs.Pipeline
-	table   *park.Table
-	parking bool
+	space *Space
+	clock tsc.Clock
+	pipe  *obs.Pipeline
+	table *park.Table
 }
 
 var (
@@ -30,39 +29,24 @@ var (
 )
 
 // NewRuntime wraps space and clock into an execution environment. A nil
-// clock selects the wall clock. Parking is enabled by default: wait sites
-// spin briefly and then sleep in the runtime's sharded waiter table (see
-// package park); SetParking(false) restores pure spinning for comparison
-// runs.
+// clock selects the wall clock. Wait sites spin briefly and then sleep in
+// the runtime's sharded waiter table (see package park).
 func NewRuntime(space *Space, clock tsc.Clock) *Runtime {
 	if clock == nil {
 		clock = tsc.WallClock{}
 	}
 	return &Runtime{
-		space:   space,
-		clock:   clock,
-		table:   park.NewTable(space.Load),
-		parking: true,
+		space: space,
+		clock: clock,
+		table: park.NewTable(space.Load),
 	}
 }
 
 // Space returns the underlying address space, for provisioning.
 func (r *Runtime) Space() *Space { return r.space }
 
-// SetParking toggles the waiter table. Call before handing the runtime to
-// workers; the spin-only configuration is what the oversubscription sweep
-// compares against.
-func (r *Runtime) SetParking(on bool) { r.parking = on }
-
-// Parker implements park.Provider. With parking disabled it returns nil
-// (not a typed nil inside the interface), so wait sites degrade to
-// spinning.
-func (r *Runtime) Parker() park.Parker {
-	if !r.parking {
-		return nil
-	}
-	return r.table
-}
+// Parker implements park.Provider: the runtime's waiter table.
+func (r *Runtime) Parker() park.Parker { return r.table }
 
 // AttachObs routes per-attempt hardware transaction events (obs.EvTx) into
 // pipe's per-thread rings, one event per Attempt with its outcome and time

@@ -5,8 +5,18 @@ import (
 	"time"
 
 	"sprwl/internal/env"
+	"sprwl/internal/park"
 	"sprwl/internal/tsc"
 )
+
+// TestRuntimeAlwaysParks: the real runtime always hands wait sites its
+// waiter table; there is no spin-only configuration.
+func TestRuntimeAlwaysParks(t *testing.T) {
+	space := MustNewSpace(Config{Threads: 2, Words: 1 << 12})
+	if park.FromEnv(NewRuntime(space, nil)) == nil {
+		t.Fatal("runtime exposes no parker: wait sites would only spin")
+	}
+}
 
 func TestRuntimeDelegates(t *testing.T) {
 	space := MustNewSpace(Config{Threads: 3, Words: 1 << 12})

@@ -348,7 +348,6 @@ func TestProfileSinkAttributesParking(t *testing.T) {
 		name   string
 		record func(r *Ring)
 		want   CSProfile // the single profile, CS 5
-		spin   uint64    // SpinWait()
 		text   []string  // substrings of String()
 	}{
 		{
@@ -361,7 +360,6 @@ func TestProfileSinkAttributesParking(t *testing.T) {
 			},
 			want: CSProfile{CS: 5, RW: Reader, Sections: 1, WorkCycles: 600,
 				WaitCycles: waits(WaitRSync, 400), ParkedCycles: 250, Parks: 1, SpinAbandons: 1},
-			spin: 150,
 			text: []string{"rsync=400", "parked=250/1", "abandon=1"},
 		},
 		{
@@ -375,7 +373,7 @@ func TestProfileSinkAttributesParking(t *testing.T) {
 			text: []string{"wakes=2"},
 		},
 		{
-			name: "spin-wait-clamped",
+			name: "parked-without-wait",
 			record: func(r *Ring) {
 				// A parked span with no enclosing wait recorded: the
 				// parked share exceeds the total wait.
@@ -383,7 +381,6 @@ func TestProfileSinkAttributesParking(t *testing.T) {
 				r.Section(Reader, 5, env.ModeHTM, 0, 500)
 			},
 			want: CSProfile{CS: 5, RW: Reader, Sections: 1, WorkCycles: 500, ParkedCycles: 300, Parks: 1},
-			spin: 0,
 			text: []string{"parked=300/1"},
 		},
 		{
@@ -404,7 +401,6 @@ func TestProfileSinkAttributesParking(t *testing.T) {
 				r.Section(Writer, 5, env.ModeGL, 0, 600)
 			},
 			want: CSProfile{CS: 5, RW: Writer, Sections: 1, WorkCycles: 0, WaitCycles: waits(WaitGL, 900)},
-			spin: 900,
 			text: []string{"gl=900"},
 		},
 	}
@@ -421,9 +417,6 @@ func TestProfileSinkAttributesParking(t *testing.T) {
 			got := profs[0]
 			if got != c.want {
 				t.Errorf("profile = %+v, want %+v", got, c.want)
-			}
-			if s := got.SpinWait(); s != c.spin {
-				t.Errorf("SpinWait = %d, want %d", s, c.spin)
 			}
 			out := pr.String()
 			for _, sub := range c.text {

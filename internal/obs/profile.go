@@ -70,16 +70,6 @@ func (p *CSProfile) TotalWait() uint64 {
 	return n
 }
 
-// SpinWait is the stalled time actually burned spinning: total wait minus
-// the parked share. This is the number the oversubscription sweep compares
-// between spin-only and spin-then-park configurations.
-func (p *CSProfile) SpinWait() uint64 {
-	if t := p.TotalWait(); t > p.ParkedCycles {
-		return t - p.ParkedCycles
-	}
-	return 0
-}
-
 // NewProfileSink builds a profile sink for n thread slots.
 func NewProfileSink(n int) *ProfileSink {
 	if n < 1 {

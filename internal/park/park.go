@@ -68,15 +68,15 @@ type Parker interface {
 }
 
 // Provider is implemented by execution environments that supply a parking
-// primitive. Environments without one (or with parking disabled) either do
-// not implement Provider or return a nil Parker; wait sites then spin,
-// exactly as they did before parking existed.
+// primitive (the real runtime, htm.Runtime). Environments without one
+// either do not implement Provider or return a nil Parker; wait sites then
+// spin, exactly as they did before parking existed.
 type Provider interface {
 	Parker() Parker
 }
 
 // FromEnv extracts e's parker. It returns nil — spin-only — when e does
-// not implement Provider or its parking is disabled.
+// not implement Provider or its Parker is nil.
 func FromEnv(e any) Parker {
 	if p, ok := e.(Provider); ok {
 		return p.Parker()
