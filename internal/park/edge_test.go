@@ -9,10 +9,10 @@ import (
 	"sprwl/internal/memmodel"
 )
 
-// Edge tests for the waiter table's less-travelled interleavings, part of
-// the hostile-environment matrix (ISSUE: park edge cases). These are
-// white-box: they reach into shard state to place the generation counter
-// where years of uptime would.
+// Edge tests for the waiter table's less-travelled interleavings; CI's
+// race job repeats them ten times. These are white-box: they reach into
+// shard state to place the generation counter where years of uptime
+// would.
 
 // wordTable builds a Table over a tiny word array, returning the table, the
 // backing words, and an addr whose shard we can poke directly.

@@ -3,7 +3,9 @@
 package rwlocktest
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"sprwl/internal/core"
 	"sprwl/internal/env"
@@ -127,5 +129,28 @@ func TestConformanceUnderCapacityPressure(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			Run(t, f, Config{HTMConfig: htm.Config{ReadCapacityLines: 3, WriteCapacityLines: 3}})
 		})
+	}
+}
+
+// exclusiveLock runs every section, reads included, under one mutex.
+type exclusiveLock struct{ mu sync.Mutex }
+
+func (x *exclusiveLock) NewHandle(int) rwlock.Handle { return x }
+
+func (x *exclusiveLock) Name() string { return "exclusive" }
+
+func (x *exclusiveLock) Read(_ int, body rwlock.Body) { x.Write(0, body) }
+
+func (x *exclusiveLock) Write(_ int, body rwlock.Body) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	body(nil)
+}
+
+// TestReadersMeetFailsOnExclusiveReaders: the overlap probe must reject a
+// lock whose readers exclude each other, however long it waits.
+func TestReadersMeetFailsOnExclusiveReaders(t *testing.T) {
+	if readersMeet(&exclusiveLock{}, 4, 50*time.Millisecond) {
+		t.Fatal("readers met under a lock that runs them one at a time")
 	}
 }

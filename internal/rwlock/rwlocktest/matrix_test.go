@@ -10,7 +10,6 @@ import (
 
 	"sprwl/internal/core"
 	"sprwl/internal/env"
-	"sprwl/internal/hostile"
 	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
 	"sprwl/internal/rwlock"
@@ -91,10 +90,6 @@ func validOptionCombos() []struct {
 // options combination with short rounds, once in an unbounded HTM space
 // and once in one too small for any section to commit in hardware.
 func TestOptionsMatrix(t *testing.T) {
-	// One leak baseline over all 192 runs (96 combos in each of the two
-	// HTM spaces): cleanup runs after the last sequential subtest, when
-	// any stranded waiter is unambiguous.
-	hostile.LeakCheck(t)
 	combos := validOptionCombos()
 	rounds := 12
 	if testing.Short() {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sprwl/internal/core"
-	"sprwl/internal/hostile"
 	"sprwl/internal/memmodel"
 	"sprwl/internal/rwlock"
 )
@@ -56,9 +55,6 @@ func parkingVariants() []variant {
 // on 2 procs against the sequential oracle. The CI race job runs this in
 // -short mode as its oversubscription smoke test.
 func TestStressParkingOversubscribed(t *testing.T) {
-	// A lost wakeup that somehow doesn't hang the herd would still leave
-	// parked goroutines behind; the leak check closes that gap.
-	hostile.LeakCheck(t)
 	prev := runtime.GOMAXPROCS(parkingProcs)
 	defer runtime.GOMAXPROCS(prev)
 

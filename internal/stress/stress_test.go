@@ -20,8 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -29,7 +27,6 @@ import (
 	"sprwl/internal/core"
 	"sprwl/internal/env"
 	"sprwl/internal/hang"
-	"sprwl/internal/hostile"
 	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
 	"sprwl/internal/rwlock"
@@ -206,7 +203,7 @@ func runStress(t *testing.T, name string, seed int64, nops int, hold time.Durati
 	}
 	defer func() {
 		if t.Failed() {
-			t.Logf("replay: go test ./internal/stress/ -run '%s' -stress.seed=%d", t.Name(), seed)
+			t.Logf("rerun: go test ./internal/stress/ -run '%s' -stress.seed=%d", t.Name(), seed)
 		}
 	}()
 	hang.Guard(t, roundGuard, wg.Wait)
@@ -286,38 +283,25 @@ func rwMutexLock(t *testing.T) (rwlock.Lock, layout, func(memmodel.Addr) uint64,
 	return &goRWLock{e: e}, carve(ar), e.Load, 0
 }
 
-// stressSeed pins the differential matrix to a single seed for failure
-// replay: `-stress.seed=N` on the command line, or SPRWL_STRESS_SEED=N in
-// the environment (for CI re-runs where editing flags is awkward). Every
-// stress failure message names its seed, so a red run is reproduced by
-// feeding that seed back here.
-var stressSeed = flag.Int64("stress.seed", 0, "replay the stress matrix with only this seed")
-
-// replaySeed resolves the flag/env override; 0 means the full seed set.
-func replaySeed() int64 {
-	if *stressSeed != 0 {
-		return *stressSeed
-	}
-	if s := os.Getenv("SPRWL_STRESS_SEED"); s != "" {
-		if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return n
-		}
-	}
-	return 0
-}
+// stressSeed pins the differential matrix to a single seed:
+// `-stress.seed=N` on the command line. Every stress failure message names
+// its seed. A seed fixes each worker's operation sequence, not the
+// goroutine interleaving, so a rerun with it repeats the workload but not
+// necessarily the failure.
+var stressSeed = flag.Int64("stress.seed", 0, "run the stress matrix with only this seed")
 
 // seedSet returns the deterministic seeds and per-worker op count for the
-// current mode: a single pinned seed when replaying a failure, a small
+// current mode: a single pinned seed when -stress.seed is set, a small
 // fixed set for CI (-short), a wider sweep for the nightly run.
 func seedSet() ([]int64, int) {
 	if testing.Short() {
-		if s := replaySeed(); s != 0 {
-			return []int64{s}, 1500
+		if *stressSeed != 0 {
+			return []int64{*stressSeed}, 1500
 		}
 		return []int64{1, 2}, 1500
 	}
-	if s := replaySeed(); s != 0 {
-		return []int64{s}, 8000
+	if *stressSeed != 0 {
+		return []int64{*stressSeed}, 8000
 	}
 	return []int64{1, 2, 3, 5, 8, 13}, 8000
 }
@@ -326,10 +310,6 @@ func seedSet() ([]int64, int) {
 // combination (with dynamic workers mixed in where the backend allows) and
 // the sync.RWMutex reference, each against the sequential oracle.
 func TestStressDifferential(t *testing.T) {
-	// Leak check on the parent: its cleanup runs after every parallel
-	// child, when a stranded parked goroutine is the only sprwl frame
-	// left standing.
-	hostile.LeakCheck(t)
 	seeds, nops := seedSet()
 	for _, v := range variants() {
 		for _, seed := range seeds {
