@@ -1,19 +1,21 @@
 // Command sprwl-serve is a long-running serving demo for the sharded lock
 // table: a concurrent KV + range-scan service (one skiplist per
 // internal/locktable shard) driven by the internal/workload load generator
-// with Zipfian key popularity, in closed- or open-loop mode.
+// with Zipfian key popularity under an open-loop arrival schedule.
 //
 // Usage:
 //
-//	sprwl-serve -duration 2s                          # closed loop, defaults
-//	sprwl-serve -rate 50000 -zipf 0.99 -duration 10s  # open loop, YCSB skew
+//	sprwl-serve -duration 2s                          # defaults
+//	sprwl-serve -rate 50000 -zipf 0.99 -duration 10s  # YCSB skew
 //	sprwl-serve -shards 1                             # single-lock baseline
 //	sprwl-serve -duration 2s -json report.json        # machine-readable
 //
 // The open loop schedules arrivals on a fixed timetable and measures each
 // op from its scheduled arrival to completion, so queueing delay shows up
 // in the reported tails (no coordinated omission). SIGINT/SIGTERM end the
-// run early but cleanly: the report still covers everything served.
+// run early but cleanly: the report still covers everything served. A
+// non-positive -rate, a percentage outside [0, 100], or -scan plus -multi
+// above 100 is an error.
 package main
 
 import (
@@ -49,30 +51,50 @@ type report struct {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "sprwl-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("sprwl-serve", flag.ExitOnError)
 	var (
-		shards   = flag.Int("shards", 0, "lock-table shards (power of two; 0 = 4*GOMAXPROCS, 1 = single-lock baseline)")
-		items    = flag.Int("items", 16384, "key-space size (fully populated at startup)")
-		workers  = flag.Int("workers", 4, "client goroutines")
-		duration = flag.Duration("duration", 5*time.Second, "how long to generate load for")
-		rate     = flag.Float64("rate", 0, "total arrival rate in ops/sec (0 = closed loop)")
-		readPct  = flag.Int("read", 90, "percent of point ops that are Gets")
-		scanPct  = flag.Int("scan", 1, "percent of all ops that are whole-table range scans")
-		scanSpan = flag.Int("scanspan", 128, "scan length in keys")
-		multiPct = flag.Int("multi", 2, "percent of all ops that are multi-key write spans")
-		width    = flag.Int("width", 4, "multi-key span width")
-		zipf     = flag.Float64("zipf", 0, "key-popularity skew theta (0 = uniform, 0.99 = YCSB)")
-		seed     = flag.Uint64("seed", 1, "workload RNG seed")
-		jsonPath = flag.String("json", "", "write the latency report as JSON to this file")
-		quiet    = flag.Bool("quiet", false, "suppress the human-readable summary")
+		shards   = fs.Int("shards", 0, "lock-table shards (power of two; 0 = 4*GOMAXPROCS, 1 = single-lock baseline)")
+		items    = fs.Int("items", 16384, "key-space size (fully populated at startup)")
+		workers  = fs.Int("workers", 4, "client goroutines")
+		duration = fs.Duration("duration", 5*time.Second, "how long to generate load for")
+		rate     = fs.Float64("rate", 20000, "total arrival rate in ops/sec (must be positive)")
+		readPct  = fs.Int("read", 90, "percent of point ops that are Gets")
+		scanPct  = fs.Int("scan", 1, "percent of all ops that are whole-table range scans")
+		scanSpan = fs.Int("scanspan", 128, "scan length in keys")
+		multiPct = fs.Int("multi", 2, "percent of all ops that are multi-key write spans")
+		width    = fs.Int("width", 4, "multi-key span width")
+		zipf     = fs.Float64("zipf", 0, "key-popularity skew theta (0 = uniform, 0.99 = YCSB)")
+		seed     = fs.Uint64("seed", 1, "workload RNG seed")
+		jsonPath = fs.String("json", "", "write the latency report as JSON to this file")
+		quiet    = fs.Bool("quiet", false, "suppress the human-readable summary")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	stop := make(chan struct{})
+	loadCfg := workload.LoadConfig{
+		Workers:      *workers,
+		Duration:     *duration,
+		Rate:         *rate,
+		ReadPercent:  *readPct,
+		ScanPercent:  *scanPct,
+		ScanSpan:     *scanSpan,
+		MultiPercent: *multiPct,
+		MultiWidth:   *width,
+		ZipfTheta:    *zipf,
+		Seed:         *seed,
+		Stop:         stop,
+	}
+	if err := loadCfg.Validate(); err != nil {
+		return err
+	}
 
 	kvCfg := workload.KVConfig{
 		Table: locktable.Config{Shards: *shards, Threads: *workers},
@@ -90,7 +112,6 @@ func run() error {
 		return err
 	}
 
-	stop := make(chan struct{})
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	go func() {
@@ -99,35 +120,21 @@ func run() error {
 		close(stop)
 	}()
 
-	loadCfg := workload.LoadConfig{
-		Workers:      *workers,
-		Duration:     *duration,
-		Rate:         *rate,
-		ReadPercent:  *readPct,
-		ScanPercent:  *scanPct,
-		ScanSpan:     *scanSpan,
-		MultiPercent: *multiPct,
-		MultiWidth:   *width,
-		ZipfTheta:    *zipf,
-		Seed:         *seed,
-		Stop:         stop,
-	}
 	if !*quiet {
-		mode := "closed loop"
-		if *rate > 0 {
-			mode = fmt.Sprintf("open loop, %.0f ops/s", *rate)
-		}
-		fmt.Printf("sprwl-serve: %d shards, %d keys, %d workers, zipf %.2f, %s, %v\n",
-			kv.Table.Shards(), *items, *workers, *zipf, mode, *duration)
+		fmt.Printf("sprwl-serve: %d shards, %d keys, %d workers, zipf %.2f, %.0f ops/s, %v\n",
+			kv.Table.Shards(), *items, *workers, *zipf, *rate, *duration)
 	}
-	res := workload.RunLoad(kv, loadCfg)
+	res, err := workload.RunLoad(kv, loadCfg)
+	if err != nil {
+		return err
+	}
 
 	if !*quiet {
 		fmt.Printf("served %d ops in %v (%.0f ops/s): %d reads, %d writes (%d scans, %d multi-spans)\n",
 			res.Ops, res.Elapsed.Round(time.Millisecond), res.ThruOpsS,
 			res.Reads, res.Writes, res.Scans, res.Multis)
-		if res.Mode == "open" && res.Lagged > 0 {
-			fmt.Printf("open loop: %d arrivals started late (queueing delay included in tails)\n", res.Lagged)
+		if res.Lagged > 0 {
+			fmt.Printf("%d arrivals started late (queueing delay included in tails)\n", res.Lagged)
 		}
 		fmt.Printf("reader latency ns: p50 %d  p99 %d  p999 %d (mean %.0f)\n",
 			res.ReaderP50Ns, res.ReaderP99Ns, res.ReaderP999Ns, res.ReaderMeanNs)

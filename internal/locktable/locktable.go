@@ -149,7 +149,8 @@ func New(e env.Env, ar *memmodel.Arena, cfg Config, pipe *obs.Pipeline) (*Table,
 func (t *Table) Shards() int { return len(t.shards) }
 
 // Shard returns stripe i's lock: a complete SpRWL instance, usable exactly
-// like a standalone one (examples/rangescan runs unchanged on it).
+// like a standalone one (the Table-Shard row of rwlocktest's
+// TestConformance runs the full contract suite on it).
 func (t *Table) Shard(i int) *core.Lock { return t.shards[i] }
 
 // Name labels the table for reports.

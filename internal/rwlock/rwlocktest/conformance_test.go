@@ -11,6 +11,7 @@ import (
 	"sprwl/internal/env"
 	"sprwl/internal/htm"
 	"sprwl/internal/locks"
+	"sprwl/internal/locktable"
 	"sprwl/internal/memmodel"
 	"sprwl/internal/rwle"
 	"sprwl/internal/rwlock"
@@ -86,6 +87,15 @@ func TestConformance(t *testing.T) {
 		},
 		"BRLock": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
 			return locks.NewBRLock(e, ar, threads, nil)
+		},
+		// One stripe of a lock table is a complete lock, not a
+		// restricted mode of one.
+		"Table-Shard": func(e env.Env, ar *memmodel.Arena, threads int) rwlock.Lock {
+			tbl, err := locktable.New(e, ar, locktable.Config{Shards: 2, Threads: threads}, nil)
+			if err != nil {
+				panic(err)
+			}
+			return tbl.Shard(0)
 		},
 	}
 	for name, f := range factories {

@@ -1,21 +1,8 @@
-// Orderedmap: range queries over an ordered key-value store — the workload
-// the paper's introduction uses to motivate SpRWL.
-//
-// A skiplist (internal/skiplist) holds a versioned inventory; analysts run
-// long range scans summing a key interval while clerks apply point updates
-// that conserve the total (moving stock between adjacent keys). Every scan
-// must observe the conserved total: any torn snapshot would break the sum.
-// The scans touch hundreds of cache lines — far beyond the emulated HTM's
-// capacity — so SpRWL runs them uninstrumented while clerks commit as
-// hardware transactions.
-//
-//	go run ./examples/orderedmap
-package main
+package skiplist_test
 
 import (
 	"fmt"
 	"math/rand/v2"
-	"os"
 	"sync"
 
 	"sprwl/internal/alloc"
@@ -23,25 +10,26 @@ import (
 	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
 	"sprwl/internal/skiplist"
-	"sprwl/internal/stats"
 )
 
-const (
-	threads   = 6
-	items     = 2048
-	unitStock = 10
-	scans     = 150
-	moves     = 3000
-)
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "orderedmap:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+// Range queries over an ordered key-value store — the workload the paper's
+// introduction uses to motivate SpRWL.
+//
+// A skiplist holds a versioned inventory; analysts run long range scans
+// summing a key interval while clerks apply point updates that conserve
+// the total (moving stock between keys). Every scan must observe the
+// conserved total: any torn snapshot would break the sum. The scans touch
+// hundreds of cache lines — far beyond the emulated HTM's capacity — so
+// SpRWL runs them uninstrumented while clerks commit as hardware
+// transactions.
+func Example_orderedMap() {
+	const (
+		threads   = 6
+		items     = 2048
+		unitStock = 10
+		scans     = 150
+		moves     = 3000
+	)
 	nodeBlock := (skiplist.NodeWords + memmodel.LineWords - 1) / memmodel.LineWords * memmodel.LineWords
 	words := skiplist.Words() + (items+64)*nodeBlock + 4096*memmodel.LineWords
 	// Emulate the paper's POWER8 capacity limits so the full-range scans
@@ -54,14 +42,15 @@ func run() error {
 		WriteCapacityLines: wCap,
 	})
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 	e := htm.NewRuntime(space, nil)
 	ar := memmodel.NewArena(0, space.Size())
-	col := stats.NewCollector(threads)
-	lock, err := core.New(e, ar, threads, 4, core.DefaultOptions(), col.Pipeline())
+	lock, err := core.New(e, ar, threads, 4, core.DefaultOptions(), nil)
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 
 	pool := alloc.NewPool(ar, skiplist.NodeWords, threads)
@@ -118,11 +107,11 @@ func run() error {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		return err
+		fmt.Println(err)
+		return
 	}
 
 	count, sum := list.Range(space, 0, items)
 	fmt.Printf("final inventory: %d keys, %d units (conserved)\n", count, sum)
-	fmt.Println("execution profile:", col.Snapshot())
-	return nil
+	// Output: final inventory: 2048 keys, 20480 units (conserved)
 }

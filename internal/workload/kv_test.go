@@ -128,43 +128,36 @@ func TestKVOps(t *testing.T) {
 	}
 }
 
-func TestRunLoadClosedAndOpen(t *testing.T) {
+func TestRunLoadOpenLoop(t *testing.T) {
 	kv, _ := buildKV(t, KVConfig{
 		Table: locktable.Config{Shards: 8, Threads: 4},
 		Items: 1024,
 	})
-	cfg := LoadConfig{
+	res, err := RunLoad(kv, LoadConfig{
 		Workers:      2,
 		Duration:     100 * time.Millisecond,
+		Rate:         5000,
 		ReadPercent:  80,
 		ScanPercent:  2,
 		MultiPercent: 5,
 		ZipfTheta:    0.99,
 		Seed:         1,
-	}
-	closed := RunLoad(kv, cfg)
-	if closed.Mode != "closed" || closed.Ops == 0 {
-		t.Fatalf("closed run: %+v", closed)
-	}
-	if closed.Reads+closed.Writes != closed.Ops {
-		t.Fatalf("closed run: reads %d + writes %d != ops %d", closed.Reads, closed.Writes, closed.Ops)
-	}
-
-	kv2, _ := buildKV(t, KVConfig{
-		Table: locktable.Config{Shards: 8, Threads: 4},
-		Items: 1024,
 	})
-	cfg.Rate = 5000
-	open := RunLoad(kv2, cfg)
-	if open.Mode != "open" || open.Ops == 0 {
-		t.Fatalf("open run: %+v", open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops == 0 {
+		t.Fatalf("open run: %+v", res)
+	}
+	if res.Reads+res.Writes != res.Ops {
+		t.Fatalf("open run: reads %d + writes %d != ops %d", res.Reads, res.Writes, res.Ops)
 	}
 	// A 5k ops/s schedule over 100ms is ~500 arrivals; the worker pool
 	// must stay near the timetable, not run an op per free cycle.
-	if open.Ops > 2*500+50 {
-		t.Fatalf("open run issued %d ops, schedule says ~500", open.Ops)
+	if res.Ops > 2*500+50 {
+		t.Fatalf("open run issued %d ops, schedule says ~500", res.Ops)
 	}
-	if open.ReaderP50Ns == 0 && open.WriterP50Ns == 0 {
+	if res.ReaderP50Ns == 0 && res.WriterP50Ns == 0 {
 		t.Fatal("open run recorded no latency percentiles")
 	}
 }

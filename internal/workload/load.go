@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"runtime"
 	"sync"
@@ -13,27 +14,22 @@ import (
 	"sprwl/internal/tsc"
 )
 
-// LoadConfig shapes the KV load generator behind sprwl-serve.
-//
-// Two driving modes:
-//
-//   - Closed loop (Rate <= 0): every worker issues its next op as soon as
-//     the previous one returns. Latency is service time only — the classic
-//     benchmark loop, which under-reports tail latency because a slow op
-//     delays the arrivals behind it (coordinated omission).
-//   - Open loop (Rate > 0): arrivals are scheduled on a fixed global
-//     timetable (arrival k at start + k/Rate), workers pull tickets from a
-//     shared counter, and each op's latency is measured from its
-//     *scheduled* arrival to completion. An op that finds the system
-//     backed up pays its queueing delay, which is what a serving system's
-//     tail actually looks like.
+// LoadConfig shapes the KV load generator behind sprwl-serve. The
+// generator is an open loop: arrivals are scheduled on a fixed global
+// timetable (arrival k at start + k/Rate), workers pull tickets from a
+// shared counter, and each op's latency is measured from its *scheduled*
+// arrival to completion. An op that finds the system backed up pays its queueing
+// delay, which is what a serving system's tail actually looks like; a
+// closed loop, where each worker issues its next op when the previous one
+// returns, would hide it (coordinated omission). perfbench owns the
+// closed-loop measurement of the same KV.
 type LoadConfig struct {
 	// Workers is the number of client goroutines (one table slot each).
 	Workers int
 	// Duration is how long arrivals are generated for.
 	Duration time.Duration
-	// Rate is the total target arrival rate in ops/sec; <= 0 selects the
-	// closed loop.
+	// Rate is the total target arrival rate in ops/sec; it must be
+	// positive.
 	Rate float64
 	// ReadPercent is the fraction of point ops that are Gets (the rest
 	// split evenly between Put and Delete).
@@ -57,19 +53,29 @@ type LoadConfig struct {
 	Stop <-chan struct{}
 }
 
-// Validate fills defaults.
-func (c *LoadConfig) Validate() {
+// Validate fills defaults. It rejects a non-positive Rate, a percentage
+// outside [0, 100], and scan and multi-put shares summing past 100: one
+// draw in [0, 100) picks both, so the excess multi-puts would never run.
+func (c *LoadConfig) Validate() error {
+	if c.Rate <= 0 {
+		return fmt.Errorf("rate %v ops/s: must be positive", c.Rate)
+	}
+	for _, p := range []struct {
+		name string
+		v    int
+	}{{"read", c.ReadPercent}, {"scan", c.ScanPercent}, {"multi", c.MultiPercent}} {
+		if p.v < 0 || p.v > 100 {
+			return fmt.Errorf("%s percent %d: outside [0, 100]", p.name, p.v)
+		}
+	}
+	if c.ScanPercent+c.MultiPercent > 100 {
+		return fmt.Errorf("scan percent %d + multi percent %d: exceeds 100", c.ScanPercent, c.MultiPercent)
+	}
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
 	if c.Duration <= 0 {
 		c.Duration = time.Second
-	}
-	if c.ReadPercent < 0 {
-		c.ReadPercent = 0
-	}
-	if c.ReadPercent > 100 {
-		c.ReadPercent = 100
 	}
 	if c.ScanSpan <= 0 {
 		c.ScanSpan = 128
@@ -77,6 +83,7 @@ func (c *LoadConfig) Validate() {
 	if c.MultiWidth <= 0 {
 		c.MultiWidth = 4
 	}
+	return nil
 }
 
 // LoadResult is one load run's outcome. Latencies are nanoseconds (the
@@ -84,14 +91,13 @@ func (c *LoadConfig) Validate() {
 // upper bounds, and reader/writer split follows the op's lock side: Get
 // and Scan are readers, Put/Delete/MultiPut writers.
 type LoadResult struct {
-	Mode     string        `json:"mode"` // "open" or "closed"
 	Elapsed  time.Duration `json:"elapsed_ns"`
 	Ops      uint64        `json:"ops"`
 	Reads    uint64        `json:"reads"`
 	Writes   uint64        `json:"writes"`
 	Scans    uint64        `json:"scans"`
 	Multis   uint64        `json:"multis"`
-	Lagged   uint64        `json:"lagged"` // open-loop arrivals that started late
+	Lagged   uint64        `json:"lagged"` // arrivals that started late
 	ThruOpsS float64       `json:"throughput_ops_per_sec"`
 
 	ReaderMeanNs float64 `json:"reader_mean_ns"`
@@ -107,9 +113,12 @@ type LoadResult struct {
 // RunLoad drives kv with cfg and returns the merged result. The driver
 // owns its own stats pipeline: per-op latencies are recorded as EvSection
 // events into per-worker obs rings (scheduled-arrival → completion), kept
-// separate from whatever pipeline the lock table itself reports into.
-func RunLoad(kv *KV, cfg LoadConfig) LoadResult {
-	cfg.Validate()
+// separate from whatever pipeline the lock table itself reports into. It
+// returns Validate's error for a config it cannot run.
+func RunLoad(kv *KV, cfg LoadConfig) (LoadResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return LoadResult{}, err
+	}
 	col := stats.NewCollector(cfg.Workers)
 	pipe := col.Pipeline()
 	clock := tsc.WallClock{}
@@ -120,11 +129,7 @@ func RunLoad(kv *KV, cfg LoadConfig) LoadResult {
 		scans   atomic.Uint64
 		multis  atomic.Uint64
 	)
-	open := cfg.Rate > 0
-	var interval float64
-	if open {
-		interval = 1e9 / cfg.Rate
-	}
+	interval := 1e9 / cfg.Rate
 	start := clock.Now()
 	deadline := start + uint64(cfg.Duration)
 
@@ -154,36 +159,27 @@ func RunLoad(kv *KV, cfg LoadConfig) LoadResult {
 			mkeys := make([]uint64, cfg.MultiWidth)
 			var nLag, nScan, nMulti uint64
 			for !stopped.Load() {
-				// Admission: open loop pulls the next global ticket and
-				// waits for its scheduled arrival; closed loop just
-				// checks the deadline.
-				var sched uint64
-				if open {
-					k := tickets.Add(1) - 1
-					sched = start + uint64(float64(k)*interval)
-					if sched >= deadline {
-						break
+				// Admission: pull the next global ticket and wait for
+				// its scheduled arrival.
+				k := tickets.Add(1) - 1
+				sched := start + uint64(float64(k)*interval)
+				if sched >= deadline {
+					break
+				}
+				if now := clock.Now(); now < sched {
+					// Coarse sleep, then yield-spin the last stretch:
+					// host sleeps overshoot by up to a timer quantum
+					// (~1ms loaded), which would put a floor under
+					// every latency.
+					const spinNs = 100_000
+					if sched-now > spinNs {
+						time.Sleep(time.Duration(sched - now - spinNs))
 					}
-					if now := clock.Now(); now < sched {
-						// Coarse sleep, then yield-spin the last stretch:
-						// host sleeps overshoot by up to a timer quantum
-						// (~1ms loaded), which would put a floor under
-						// every open-loop latency.
-						const spinNs = 100_000
-						if sched-now > spinNs {
-							time.Sleep(time.Duration(sched - now - spinNs))
-						}
-						for clock.Now() < sched {
-							runtime.Gosched()
-						}
-					} else if now > sched {
-						nLag++
+					for clock.Now() < sched {
+						runtime.Gosched()
 					}
-				} else {
-					sched = clock.Now()
-					if sched >= deadline {
-						break
-					}
+				} else if now > sched {
+					nLag++
 				}
 
 				kind := obs.Reader
@@ -222,7 +218,6 @@ func RunLoad(kv *KV, cfg LoadConfig) LoadResult {
 
 	snap := col.Snapshot()
 	res := LoadResult{
-		Mode:     "closed",
 		Elapsed:  time.Duration(elapsed),
 		Ops:      snap.TotalOps(),
 		Reads:    snap.TotalCommits(stats.Reader),
@@ -239,14 +234,11 @@ func RunLoad(kv *KV, cfg LoadConfig) LoadResult {
 		WriterP99Ns:  snap.Percentile(stats.Writer, 0.99),
 		WriterP999Ns: snap.Percentile(stats.Writer, 0.999),
 	}
-	if open {
-		res.Mode = "open"
-	}
 	if n := snap.LatencyCount[stats.Reader]; n > 0 {
 		res.ReaderMeanNs = float64(snap.LatencyCycles[stats.Reader]) / float64(n)
 	}
 	if n := snap.LatencyCount[stats.Writer]; n > 0 {
 		res.WriterMeanNs = float64(snap.LatencyCycles[stats.Writer]) / float64(n)
 	}
-	return res
+	return res, nil
 }
