@@ -14,6 +14,9 @@ func TestRejectsBadFlags(t *testing.T) {
 	}{
 		{[]string{"-rate", "0"}, "rate"},
 		{[]string{"-rate", "-100"}, "rate"},
+		{[]string{"-rate", "NaN"}, "rate"},
+		{[]string{"-rate", "+Inf"}, "rate"},
+		{[]string{"-rate", "2e9"}, "rate"},
 		{[]string{"-read", "-1"}, "read percent"},
 		{[]string{"-read", "101"}, "read percent"},
 		{[]string{"-scan", "-1"}, "scan percent"},

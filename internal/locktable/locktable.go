@@ -150,7 +150,8 @@ func (t *Table) Shards() int { return len(t.shards) }
 
 // Shard returns stripe i's lock: a complete SpRWL instance, usable exactly
 // like a standalone one (the Table-Shard row of rwlocktest's
-// TestConformance runs the full contract suite on it).
+// TestConformance runs the full contract suite on the last shard of a
+// four-shard table).
 func (t *Table) Shard(i int) *core.Lock { return t.shards[i] }
 
 // Name labels the table for reports.

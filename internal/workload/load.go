@@ -28,8 +28,7 @@ type LoadConfig struct {
 	Workers int
 	// Duration is how long arrivals are generated for.
 	Duration time.Duration
-	// Rate is the total target arrival rate in ops/sec; it must be
-	// positive.
+	// Rate is the total target arrival rate in ops/sec, in (0, 1e9].
 	Rate float64
 	// ReadPercent is the fraction of point ops that are Gets (the rest
 	// split evenly between Put and Delete).
@@ -53,12 +52,18 @@ type LoadConfig struct {
 	Stop <-chan struct{}
 }
 
-// Validate fills defaults. It rejects a non-positive Rate, a percentage
-// outside [0, 100], and scan and multi-put shares summing past 100: one
-// draw in [0, 100) picks both, so the excess multi-puts would never run.
+// maxRate is the highest arrival rate RunLoad accepts: one arrival per
+// nanosecond. Above it the timetable's step rounds to zero, so no arrival
+// is ever scheduled past the deadline and the run would never end.
+const maxRate = 1e9
+
+// Validate fills defaults. It rejects a Rate outside (0, maxRate] (NaN
+// included), a percentage outside [0, 100], and scan and multi-put shares
+// summing past 100: one draw in [0, 100) picks both, so the excess
+// multi-puts would never run.
 func (c *LoadConfig) Validate() error {
-	if c.Rate <= 0 {
-		return fmt.Errorf("rate %v ops/s: must be positive", c.Rate)
+	if !(c.Rate > 0 && c.Rate <= maxRate) {
+		return fmt.Errorf("rate %v ops/s: outside (0, %g]", c.Rate, float64(maxRate))
 	}
 	for _, p := range []struct {
 		name string
