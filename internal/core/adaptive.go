@@ -200,7 +200,7 @@ func (h *handle) switchTracking(from, to uint64) {
 	l.e.Store(l.trackMode, transitionMode(to, from))
 	h.drainBackend(from)
 	l.e.Store(l.trackMode, to)
-	h.ring.Readers(obs.ReadersSwitch, -1, l.e.Now())
+	h.ring.Readers(obs.ReadersSwitch, -1, h.ring.Stamp(l.e))
 }
 
 // drainBackend waits until no reader is flagged in structure s.
@@ -241,7 +241,7 @@ func (h *handle) arriveIn(s uint64) {
 	case backendBravo:
 		h.flagToken = l.indBravo.Arrive(h.hint)
 		if h.flagToken == readers.OverflowToken && h.ring != nil {
-			h.ring.Readers(obs.ReadersCollision, -1, l.e.Now())
+			h.ring.Readers(obs.ReadersCollision, -1, h.ring.Stamp(l.e))
 		}
 	default:
 		h.flagToken = l.indFlags.Arrive(h.hint)

@@ -403,7 +403,9 @@ type handle struct {
 	// dynamic ones.
 	hint uint64
 	// ring is this thread's observability event buffer (nil when no
-	// pipeline is attached; all record methods are nil-safe).
+	// pipeline is attached; all record methods are nil-safe). Stamps
+	// that feed only the ring are taken with ring.Stamp, so they cost
+	// no clock read when it is nil.
 	ring *obs.Ring
 	// flaggedIn records which tracking structure this thread's active
 	// reader flag lives in (a backend* value), and flagToken the
@@ -432,10 +434,13 @@ func (l *Lock) clockRAddr(i int) memmodel.Addr     { return l.clockR + memmodel.
 func (l *Lock) waitingForAddr(i int) memmodel.Addr { return l.waitingFor + memmodel.Addr(i) }
 func (l *Lock) readerVerAddr(i int) memmodel.Addr  { return l.readerVer + memmodel.Addr(i) }
 
-// sample records a critical-section duration on the designated sampling
-// thread only (§3.2.1).
-func (l *Lock) sample(slot, csID int, cycles uint64) {
-	if l.est.ShouldSample(slot) {
-		l.est.Sample(csID, cycles)
+// nowIf reads the clock only when used is set, and returns 0 otherwise.
+// It takes the body stamps, whose only consumers are the sampling slot's
+// estimator (§3.2.1) and AutoSNZI's reader-duration controller: every
+// other slot skips both reads.
+func (l *Lock) nowIf(used bool) uint64 {
+	if used {
+		return l.e.Now()
 	}
+	return 0
 }

@@ -19,7 +19,7 @@ import (
 //sprwl:model
 func (h *handle) Read(csID int, body rwlock.Body) {
 	l := h.l
-	start := l.e.Now()
+	start := h.ring.Stamp(l.e)
 
 	// Dynamic handles (slot < 0) skip the slot-keyed refinements: HTM
 	// attempts need an environment slot, and the clock/sampling words
@@ -39,9 +39,13 @@ func (h *handle) Read(csID int, body rwlock.Body) {
 
 	h.flagReaderAndSyncGL(csID)
 
-	bodyStart := l.e.Now()
+	// The body is timed only for a consumer: the sampling slot's
+	// estimator (§3.2.1) or AutoSNZI's reader-duration controller.
+	sampling := l.est.ShouldSample(h.slot)
+	timed := sampling || l.opts.AutoSNZI
+	bodyStart := l.nowIf(timed)
 	body(l.e)
-	bodyCycles := l.e.Now() - bodyStart
+	bodyCycles := l.nowIf(timed) - bodyStart
 
 	// Release order per Alg. 1: the critical section's loads are ordered
 	// before the flag reset (the environment's accesses are sequentially
@@ -51,11 +55,13 @@ func (h *handle) Read(csID int, body rwlock.Body) {
 		l.e.Store(l.clockRAddr(h.slot), 0)
 	}
 
-	l.sample(h.slot, csID, bodyCycles)
+	if sampling {
+		l.est.Sample(csID, bodyCycles)
+	}
 	if l.opts.AutoSNZI {
 		h.recordReaderDuration(bodyCycles)
 	}
-	h.ring.Section(obs.Reader, csID, env.ModeUninstrumented, start, l.e.Now())
+	h.ring.Section(obs.Reader, csID, env.ModeUninstrumented, start, h.ring.Stamp(l.e))
 }
 
 // readTryHTM attempts the read-only section as a hardware transaction and
@@ -64,6 +70,7 @@ func (h *handle) Read(csID int, body rwlock.Body) {
 func (h *handle) readTryHTM(csID int, start uint64, body rwlock.Body) bool {
 	l := h.l
 	h.txBody = body
+	sampling := l.est.ShouldSample(h.slot)
 	committed := false
 	for attempts := 0; attempts < htmRetries; {
 		if l.gl.IsLocked() {
@@ -71,16 +78,17 @@ func (h *handle) readTryHTM(csID int, start uint64, body rwlock.Body) bool {
 			// knows how to synchronize with it.
 			break
 		}
-		bodyStart := l.e.Now()
+		bodyStart := l.nowIf(sampling)
 		cause := l.e.Attempt(h.slot, env.TxOpts{}, h.txRead)
 		if cause == env.Committed {
-			now := l.e.Now()
-			l.sample(h.slot, csID, now-bodyStart)
-			h.ring.Section(obs.Reader, csID, env.ModeHTM, start, now)
+			if sampling {
+				l.est.Sample(csID, l.e.Now()-bodyStart)
+			}
+			h.ring.Section(obs.Reader, csID, env.ModeHTM, start, h.ring.Stamp(l.e))
 			committed = true
 			break
 		}
-		h.ring.Abort(obs.Reader, csID, cause, l.e.Now())
+		h.ring.Abort(obs.Reader, csID, cause, h.ring.Stamp(l.e))
 		if cause == env.AbortCapacity {
 			break
 		}
@@ -116,7 +124,7 @@ func (h *handle) readersWait(csID int) {
 	if wait == -1 {
 		return
 	}
-	waitStart := l.e.Now()
+	waitStart := h.ring.Stamp(l.e)
 	if h.slot >= 0 {
 		// Dynamic readers wait but cannot advertise joinable waits:
 		// the waitingFor array is per-slot.
@@ -138,8 +146,9 @@ func (h *handle) readersWait(csID int) {
 	for l.e.Load(a) == stateWriter {
 		var remaining uint64
 		if w.CanPark() {
-			if t := l.e.Load(l.clockWAddr(wait)); t > l.e.Now() {
-				remaining = t - l.e.Now()
+			t := l.e.Load(l.clockWAddr(wait))
+			if now := l.e.Now(); t > now {
+				remaining = t - now
 			}
 		}
 		w.Pause(a, stateWriter, remaining)
@@ -147,7 +156,7 @@ func (h *handle) readersWait(csID int) {
 	if h.slot >= 0 {
 		l.e.Store(l.waitingForAddr(h.slot), 0)
 	}
-	h.ring.Wait(obs.WaitRSync, obs.Reader, csID, waitStart, l.e.Now())
+	h.ring.Wait(obs.WaitRSync, obs.Reader, csID, waitStart, h.ring.Stamp(l.e))
 	w.ReportParks(h.ring, obs.Reader, csID)
 }
 
@@ -218,13 +227,13 @@ func (h *handle) flagReaderAndSyncGL(csID int) {
 		// waiter count is visible, then park in its own §3.3 drain
 		// waiting for the registration we will never retire: a
 		// lost-wakeup cycle (found by sprwl-model on vsgl-1r1w).
-		waitStart := l.e.Now()
+		waitStart := h.ring.Stamp(l.e)
 		w := park.Waiter{E: l.e, Pol: park.SpinPark()}
 		glAddr := l.gl.Addr()
 		for l.gl.IsLocked() && l.e.Load(l.glVer) <= observed {
 			w.Pause(glAddr, locks.SpinLocked, 0)
 		}
-		h.ring.Wait(obs.WaitGL, obs.Reader, csID, waitStart, l.e.Now())
+		h.ring.Wait(obs.WaitGL, obs.Reader, csID, waitStart, h.ring.Stamp(l.e))
 		w.ReportParks(h.ring, obs.Reader, csID)
 		if l.gl.IsLocked() {
 			// The version moved past us: the current fallback

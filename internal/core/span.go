@@ -81,7 +81,7 @@ func (h *handle) AcquireWrite(csID int) {
 		l.e.Store(l.stateAddr(h.slot), stateWriter)
 	}
 	h.lockGL(csID)
-	h.spanGLAt = l.e.Now()
+	h.spanGLAt = h.ring.Stamp(l.e)
 	h.waitForReaders(csID)
 }
 
@@ -93,12 +93,12 @@ func (h *handle) ReleaseWrite(csID int) {
 	l := h.l
 	h.restoreReaderBias()
 	l.gl.Unlock()
-	h.ring.SGL(csID, h.spanGLAt, l.e.Now())
+	h.ring.SGL(csID, h.spanGLAt, h.ring.Stamp(l.e))
 	if l.opts.ReaderSync && h.slot >= 0 {
 		l.e.Store(l.stateAddr(h.slot), stateEmpty)
 		l.wakes.Wake(l.stateAddr(h.slot))
 		if l.wakes.Enabled() {
-			h.ring.Park(obs.ParkWake, obs.Writer, csID, l.e.Now(), 0)
+			h.ring.Park(obs.ParkWake, obs.Writer, csID, h.ring.Stamp(l.e), 0)
 		}
 	}
 }

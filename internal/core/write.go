@@ -23,6 +23,8 @@ import (
 //sprwl:model
 func (h *handle) Write(csID int, body rwlock.Body) {
 	l := h.l
+	// start is both the Section event's start and the base of the
+	// ReaderSync advertisement below.
 	start := l.e.Now()
 
 	// Dynamic handles (slot < 0) cannot run hardware attempts (those
@@ -39,25 +41,28 @@ func (h *handle) Write(csID int, body rwlock.Body) {
 		// retries and the fallback: this is what guarantees that a
 		// writer activated before a reader cannot be aborted by it
 		// (§3.2.1 fairness).
-		l.e.Store(l.clockWAddr(h.slot), l.est.EndTime(csID, l.e.Now()))
+		l.e.Store(l.clockWAddr(h.slot), l.est.EndTime(csID, start))
 		l.e.Store(l.stateAddr(h.slot), stateWriter)
 	}
 
 	h.txBody = body
+	sampling := l.est.ShouldSample(h.slot)
 	attempts := 0
 	for {
 		// Alg. 1 line 34: do not even start while the fallback lock
 		// is held — the subscription inside would abort us at once.
 		h.awaitGLClear(obs.Writer, csID)
-		bodyStart := l.e.Now()
+		bodyStart := l.nowIf(sampling)
 		cause := l.e.Attempt(h.slot, env.TxOpts{}, h.txWrite)
 		if cause == env.Committed {
 			h.txBody = nil
-			l.sample(h.slot, csID, l.e.Now()-bodyStart)
+			if sampling {
+				l.est.Sample(csID, l.e.Now()-bodyStart)
+			}
 			h.finishWrite(csID, start, env.ModeHTM)
 			return
 		}
-		h.ring.Abort(obs.Writer, csID, cause, l.e.Now())
+		h.ring.Abort(obs.Writer, csID, cause, h.ring.Stamp(l.e))
 		attempts++
 		if cause == env.AbortCapacity || attempts >= htmRetries {
 			break
@@ -78,14 +83,17 @@ func (h *handle) Write(csID int, body rwlock.Body) {
 func (h *handle) writeFallback(csID int, start uint64, body rwlock.Body) {
 	l := h.l
 	h.lockGL(csID)
-	glAcquired := l.e.Now()
+	glAcquired := h.ring.Stamp(l.e)
 	h.waitForReaders(csID)
-	bodyStart := l.e.Now()
+	sampling := l.est.ShouldSample(h.slot)
+	bodyStart := l.nowIf(sampling)
 	body(l.e)
-	l.sample(h.slot, csID, l.e.Now()-bodyStart)
+	if sampling {
+		l.est.Sample(csID, l.e.Now()-bodyStart)
+	}
 	h.restoreReaderBias()
 	l.gl.Unlock()
-	h.ring.SGL(csID, glAcquired, l.e.Now())
+	h.ring.SGL(csID, glAcquired, h.ring.Stamp(l.e))
 	h.finishWrite(csID, start, env.ModeGL)
 }
 
@@ -101,10 +109,10 @@ func (h *handle) finishWrite(csID int, start uint64, mode env.CommitMode) {
 		l.e.Store(l.stateAddr(h.slot), stateEmpty)
 		l.wakes.Wake(l.stateAddr(h.slot))
 		if l.wakes.Enabled() {
-			h.ring.Park(obs.ParkWake, obs.Writer, csID, l.e.Now(), 0)
+			h.ring.Park(obs.ParkWake, obs.Writer, csID, h.ring.Stamp(l.e), 0)
 		}
 	}
-	h.ring.Section(obs.Writer, csID, mode, start, l.e.Now())
+	h.ring.Section(obs.Writer, csID, mode, start, h.ring.Stamp(l.e))
 }
 
 // checkForReaders is Alg. 1's commit-time check, executed inside the
@@ -152,7 +160,7 @@ func (h *handle) writerWait(csID int) {
 	}
 	if now := l.e.Now(); wait > now {
 		l.e.WaitUntil(wait)
-		h.ring.Wait(obs.WaitWSync, obs.Writer, csID, now, l.e.Now())
+		h.ring.Wait(obs.WaitWSync, obs.Writer, csID, now, h.ring.Stamp(l.e))
 	}
 }
 
@@ -201,14 +209,14 @@ func (h *handle) lockGL(csID int) {
 //sprwl:model
 func (h *handle) waitForReaders(csID int) {
 	l := h.l
-	drainStart := l.e.Now()
+	drainStart := h.ring.Stamp(l.e)
 	if l.indBravo != nil {
 		// Revoke read bias first (BRAVO §3): new arrivals go to the
 		// overflow line, so draining the slot table converges even
 		// under a constant reader stream. Bias is restored just before
 		// the fallback lock is released.
 		l.indBravo.Revoke()
-		h.ring.Readers(obs.ReadersRevoked, csID, l.e.Now())
+		h.ring.Readers(obs.ReadersRevoked, csID, h.ring.Stamp(l.e))
 	}
 	switch {
 	case l.opts.AutoSNZI:
@@ -224,7 +232,7 @@ func (h *handle) waitForReaders(csID int) {
 	default:
 		l.indFlags.Drain(l.e)
 	}
-	h.ring.Wait(obs.WaitDrain, obs.Writer, csID, drainStart, l.e.Now())
+	h.ring.Wait(obs.WaitDrain, obs.Writer, csID, drainStart, h.ring.Stamp(l.e))
 }
 
 // restoreReaderBias re-enables BRAVO read bias at the end of a fallback

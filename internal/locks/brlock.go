@@ -54,16 +54,16 @@ type brHandle struct {
 }
 
 func (h *brHandle) Read(csID int, body rwlock.Body) {
-	start := h.l.e.Now()
+	start := h.ring.Stamp(h.l.e)
 	m := h.l.threadMutex(h.slot)
 	blockingLock(h.l.e, m, h.ring, obs.Reader, csID)
 	body(h.l.e)
 	m.Unlock()
-	h.ring.Section(obs.Reader, csID, env.ModePessimistic, start, h.l.e.Now())
+	h.ring.Section(obs.Reader, csID, env.ModePessimistic, start, h.ring.Stamp(h.l.e))
 }
 
 func (h *brHandle) Write(csID int, body rwlock.Body) {
-	start := h.l.e.Now()
+	start := h.ring.Stamp(h.l.e)
 	l := h.l
 	blockingLock(l.e, l.writer, h.ring, obs.Writer, csID)
 	for i := 0; i < l.threads; i++ {
@@ -74,5 +74,5 @@ func (h *brHandle) Write(csID int, body rwlock.Body) {
 		l.threadMutex(i).Unlock()
 	}
 	l.writer.Unlock()
-	h.ring.Section(obs.Writer, csID, env.ModePessimistic, start, l.e.Now())
+	h.ring.Section(obs.Writer, csID, env.ModePessimistic, start, h.ring.Stamp(l.e))
 }

@@ -52,7 +52,7 @@ type rwlHandle struct {
 }
 
 func (h *rwlHandle) Read(csID int, body rwlock.Body) {
-	start := h.l.e.Now()
+	start := h.ring.Stamp(h.l.e)
 	l := h.l
 	w := park.Waiter{E: l.e, P: l.hub.Parker(), Pol: park.Pessimistic()}
 	for {
@@ -72,11 +72,11 @@ func (h *rwlHandle) Read(csID int, body rwlock.Body) {
 	if l.e.Add(l.word, ^uint64(0))&rwlReaderMask == 0 {
 		l.hub.Wake(l.word)
 	}
-	h.ring.Section(obs.Reader, csID, env.ModePessimistic, start, l.e.Now())
+	h.ring.Section(obs.Reader, csID, env.ModePessimistic, start, h.ring.Stamp(l.e))
 }
 
 func (h *rwlHandle) Write(csID int, body rwlock.Body) {
-	start := h.l.e.Now()
+	start := h.ring.Stamp(h.l.e)
 	l := h.l
 	l.e.Add(l.word, rwlWaitingUnit)
 	w := park.Waiter{E: l.e, P: l.hub.Parker(), Pol: park.Pessimistic()}
@@ -96,5 +96,5 @@ func (h *rwlHandle) Write(csID int, body rwlock.Body) {
 	// writer (store-then-wake).
 	l.e.Add(l.word, ^(rwlActiveWriter)+1)
 	l.hub.Wake(l.word)
-	h.ring.Section(obs.Writer, csID, env.ModePessimistic, start, l.e.Now())
+	h.ring.Section(obs.Writer, csID, env.ModePessimistic, start, h.ring.Stamp(l.e))
 }

@@ -248,12 +248,12 @@ func (h *Handle) ReadN(keys []uint64, csID int, body rwlock.Body) {
 		h.spans[s].Read(csID, body)
 		return
 	}
-	start := h.t.e.Now()
+	start := h.ring.Stamp(h.t.e)
 	h.acquireMarked(csID, false)
 	body(h.t.e)
 	h.releaseMarked(csID, false)
 	h.clear()
-	h.ring.Section(obs.Reader, csID, env.ModeUninstrumented, start, h.t.e.Now())
+	h.ring.Section(obs.Reader, csID, env.ModeUninstrumented, start, h.ring.Stamp(h.t.e))
 }
 
 // WriteN executes body while holding every shard covering keys exclusively
@@ -272,19 +272,19 @@ func (h *Handle) WriteN(keys []uint64, csID int, body rwlock.Body) {
 		h.spans[s].Write(csID, body)
 		return
 	}
-	start := h.t.e.Now()
+	start := h.ring.Stamp(h.t.e)
 	h.acquireMarked(csID, true)
 	body(h.t.e)
 	h.releaseMarked(csID, true)
 	h.clear()
-	h.ring.Section(obs.Writer, csID, env.ModeGL, start, h.t.e.Now())
+	h.ring.Section(obs.Writer, csID, env.ModeGL, start, h.ring.Stamp(h.t.e))
 }
 
 // ReadAll executes body while holding every shard of the table as a
 // reader — the scatter-gather span a full range scan over a hash-sharded
 // namespace needs.
 func (h *Handle) ReadAll(csID int, body rwlock.Body) {
-	start := h.t.e.Now()
+	start := h.ring.Stamp(h.t.e)
 	for i := 0; i < len(h.spans); i++ {
 		h.spans[i].AcquireRead(csID)
 	}
@@ -292,7 +292,7 @@ func (h *Handle) ReadAll(csID int, body rwlock.Body) {
 	for i := len(h.spans) - 1; i >= 0; i-- {
 		h.spans[i].ReleaseRead(csID)
 	}
-	h.ring.Section(obs.Reader, csID, env.ModeUninstrumented, start, h.t.e.Now())
+	h.ring.Section(obs.Reader, csID, env.ModeUninstrumented, start, h.ring.Stamp(h.t.e))
 }
 
 // acquireMarked acquires every marked shard in ascending index order — the

@@ -22,7 +22,9 @@
 // calls, no allocation. Sinks only run when a ring fills (every ringEvents
 // events, amortizing the interface calls away) or when the pipeline is
 // flushed after the workers quiesce. With no pipeline attached, every
-// record call is a single predictable branch on a nil receiver.
+// record call is a single predictable branch on a nil receiver, and so is
+// every timestamp that feeds only the ring (Ring.Stamp): an unobserved
+// lock never reads the clock for telemetry.
 //
 // # Threading contract
 //
@@ -274,6 +276,17 @@ func (r *Ring) Record(ev Event) {
 	if r.n == ringEvents {
 		r.flush()
 	}
+}
+
+// Stamp returns e's clock for a timestamp that only this ring will read,
+// or 0 without reading the clock when r is nil. Algorithms take every
+// observation-only stamp through it, so an unobserved lock pays a nil
+// check where an observed one pays a clock read.
+func (r *Ring) Stamp(e env.Env) uint64 {
+	if r == nil {
+		return 0
+	}
+	return e.Now()
 }
 
 // Section records one completed critical section of side rw spanning

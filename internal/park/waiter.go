@@ -159,9 +159,9 @@ func (w *Waiter) Parked() (cycles uint64, parks int) { return w.parked, int(w.pa
 // Report emits the accumulated stall into ring as one EvWait span for the
 // given reason, plus the park telemetry (parked span, spin-abandoned
 // marker) the wait-vs-work profiler splits spin from sleep with. An
-// episode with no Pause emits nothing.
+// episode with no Pause, or a nil ring, emits nothing and reads no clock.
 func (w *Waiter) Report(ring *obs.Ring, reason, rw uint8, cs int) {
-	if !w.waited {
+	if !w.waited || ring == nil {
 		return
 	}
 	ring.Wait(reason, rw, cs, w.t0, w.E.Now())
@@ -172,6 +172,9 @@ func (w *Waiter) Report(ring *obs.Ring, reason, rw uint8, cs int) {
 // EvWait span themselves (because its start predates the first Pause —
 // e.g. a timed pre-wait precedes the loop).
 func (w *Waiter) ReportParks(ring *obs.Ring, rw uint8, cs int) {
+	if ring == nil {
+		return
+	}
 	if w.parks > 0 {
 		ring.Park(obs.ParkParked, rw, cs, w.t0, w.parked)
 	}

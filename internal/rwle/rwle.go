@@ -88,7 +88,7 @@ type handle struct {
 // advertise, check the lock, retract and wait if it is held.
 func (h *handle) Read(csID int, body rwlock.Body) {
 	l := h.l
-	start := l.e.Now()
+	start := h.ring.Stamp(l.e)
 	ea := l.epochAddr(h.slot)
 	for {
 		l.e.Add(ea, 1) // odd: active
@@ -96,15 +96,15 @@ func (h *handle) Read(csID int, body rwlock.Body) {
 			break
 		}
 		l.e.Add(ea, 1) // even: retract
-		t0 := l.e.Now()
+		t0 := h.ring.Stamp(l.e)
 		for l.gl.IsLocked() {
 			l.e.Yield()
 		}
-		h.ring.Wait(obs.WaitGL, obs.Reader, csID, t0, l.e.Now())
+		h.ring.Wait(obs.WaitGL, obs.Reader, csID, t0, h.ring.Stamp(l.e))
 	}
 	body(l.e)
 	l.e.Add(ea, 1) // even: done
-	h.ring.Section(obs.Reader, csID, env.ModeUninstrumented, start, l.e.Now())
+	h.ring.Section(obs.Reader, csID, env.ModeUninstrumented, start, h.ring.Stamp(l.e))
 }
 
 // Write tries HTM, then serialized ROTs, then the global lock. Both
@@ -112,7 +112,7 @@ func (h *handle) Read(csID int, body rwlock.Body) {
 // all readers active at that instant.
 func (h *handle) Write(csID int, body rwlock.Body) {
 	l := h.l
-	start := l.e.Now()
+	start := h.ring.Stamp(l.e)
 	glAddr := l.gl.Addr()
 
 	wlockAddr := l.wlock.Addr()
@@ -143,19 +143,19 @@ func (h *handle) Write(csID int, body rwlock.Body) {
 		var t0 uint64
 		for l.gl.IsLocked() || l.wlock.IsLocked() {
 			if !waited {
-				waited, t0 = true, l.e.Now()
+				waited, t0 = true, h.ring.Stamp(l.e)
 			}
 			l.e.Yield()
 		}
 		if waited {
-			h.ring.Wait(obs.WaitLock, obs.Writer, csID, t0, l.e.Now())
+			h.ring.Wait(obs.WaitLock, obs.Writer, csID, t0, h.ring.Stamp(l.e))
 		}
 		cause := attempt(false)
 		if cause == env.Committed {
-			h.ring.Section(obs.Writer, csID, env.ModeHTM, start, l.e.Now())
+			h.ring.Section(obs.Writer, csID, env.ModeHTM, start, h.ring.Stamp(l.e))
 			return
 		}
-		h.ring.Abort(obs.Writer, csID, cause, l.e.Now())
+		h.ring.Abort(obs.Writer, csID, cause, h.ring.Stamp(l.e))
 		if cause == env.AbortCapacity {
 			break
 		}
@@ -168,20 +168,20 @@ func (h *handle) Write(csID int, body rwlock.Body) {
 		var t0 uint64
 		for l.gl.IsLocked() {
 			if !waited {
-				waited, t0 = true, l.e.Now()
+				waited, t0 = true, h.ring.Stamp(l.e)
 			}
 			l.e.Yield()
 		}
 		if waited {
-			h.ring.Wait(obs.WaitGL, obs.Writer, csID, t0, l.e.Now())
+			h.ring.Wait(obs.WaitGL, obs.Writer, csID, t0, h.ring.Stamp(l.e))
 		}
 		cause := attempt(true)
 		if cause == env.Committed {
 			l.wlock.Unlock()
-			h.ring.Section(obs.Writer, csID, env.ModeROT, start, l.e.Now())
+			h.ring.Section(obs.Writer, csID, env.ModeROT, start, h.ring.Stamp(l.e))
 			return
 		}
-		h.ring.Abort(obs.Writer, csID, cause, l.e.Now())
+		h.ring.Abort(obs.Writer, csID, cause, h.ring.Stamp(l.e))
 		if cause == env.AbortCapacity {
 			break
 		}
@@ -190,12 +190,12 @@ func (h *handle) Write(csID int, body rwlock.Body) {
 	// Global-lock fallback: wait out every active reader, then run
 	// pessimistically. We still hold wlock, keeping ROT writers out.
 	l.gl.Lock()
-	acquired := l.e.Now()
+	acquired := h.ring.Stamp(l.e)
 	h.drainReaders(csID)
 	body(l.e)
 	l.gl.Unlock()
 	l.wlock.Unlock()
-	now := l.e.Now()
+	now := h.ring.Stamp(l.e)
 	h.ring.SGL(csID, acquired, now)
 	h.ring.Section(obs.Writer, csID, env.ModeGL, start, now)
 }
@@ -206,7 +206,7 @@ func (h *handle) Write(csID int, body rwlock.Body) {
 // waiting longer is pointless.
 func (h *handle) quiesceReaders(csID int, tx env.TxAccessor) {
 	l := h.l
-	t0 := l.e.Now()
+	t0 := h.ring.Stamp(l.e)
 	for i := 0; i < l.threads; i++ {
 		if i == h.slot {
 			continue
@@ -218,13 +218,13 @@ func (h *handle) quiesceReaders(csID int, tx env.TxAccessor) {
 		}
 		for l.e.Load(ea) == snap {
 			if tx.Aborted() {
-				h.ring.Wait(obs.WaitQuiesce, obs.Writer, csID, t0, l.e.Now())
+				h.ring.Wait(obs.WaitQuiesce, obs.Writer, csID, t0, h.ring.Stamp(l.e))
 				return
 			}
 			l.e.Yield()
 		}
 	}
-	h.ring.Wait(obs.WaitQuiesce, obs.Writer, csID, t0, l.e.Now())
+	h.ring.Wait(obs.WaitQuiesce, obs.Writer, csID, t0, h.ring.Stamp(l.e))
 }
 
 // drainReaders is the fallback-path wait: with the global lock held, new
@@ -232,7 +232,7 @@ func (h *handle) quiesceReaders(csID int, tx env.TxAccessor) {
 // (or be even) terminates.
 func (h *handle) drainReaders(csID int) {
 	l := h.l
-	t0 := l.e.Now()
+	t0 := h.ring.Stamp(l.e)
 	for i := 0; i < l.threads; i++ {
 		if i == h.slot {
 			continue
@@ -246,5 +246,5 @@ func (h *handle) drainReaders(csID int) {
 			l.e.Yield()
 		}
 	}
-	h.ring.Wait(obs.WaitDrain, obs.Writer, csID, t0, l.e.Now())
+	h.ring.Wait(obs.WaitDrain, obs.Writer, csID, t0, h.ring.Stamp(l.e))
 }

@@ -63,19 +63,19 @@ func (h *handle) Write(csID int, body rwlock.Body) { h.run(obs.Writer, csID, bod
 // global lock.
 func (h *handle) run(rw uint8, csID int, body rwlock.Body) {
 	l := h.l
-	start := l.e.Now()
+	start := h.ring.Stamp(l.e)
 	glAddr := l.gl.Addr()
 	for attempts := 0; attempts < DefaultRetries; {
 		waited := false
 		var t0 uint64
 		for l.gl.IsLocked() {
 			if !waited {
-				waited, t0 = true, l.e.Now()
+				waited, t0 = true, h.ring.Stamp(l.e)
 			}
 			l.e.Yield()
 		}
 		if waited {
-			h.ring.Wait(obs.WaitGL, rw, csID, t0, l.e.Now())
+			h.ring.Wait(obs.WaitGL, rw, csID, t0, h.ring.Stamp(l.e))
 		}
 		cause := l.e.Attempt(h.slot, env.TxOpts{}, func(tx env.TxAccessor) {
 			if tx.Load(glAddr) != 0 {
@@ -84,20 +84,20 @@ func (h *handle) run(rw uint8, csID int, body rwlock.Body) {
 			body(tx)
 		})
 		if cause == env.Committed {
-			h.ring.Section(rw, csID, env.ModeHTM, start, l.e.Now())
+			h.ring.Section(rw, csID, env.ModeHTM, start, h.ring.Stamp(l.e))
 			return
 		}
-		h.ring.Abort(rw, csID, cause, l.e.Now())
+		h.ring.Abort(rw, csID, cause, h.ring.Stamp(l.e))
 		if cause == env.AbortCapacity {
 			break
 		}
 		attempts++
 	}
 	l.gl.Lock()
-	acquired := l.e.Now()
+	acquired := h.ring.Stamp(l.e)
 	body(l.e)
 	l.gl.Unlock()
-	now := l.e.Now()
+	now := h.ring.Stamp(l.e)
 	h.ring.SGL(csID, acquired, now)
 	h.ring.Section(rw, csID, env.ModeGL, start, now)
 }

@@ -59,3 +59,14 @@ func TestManualSetBackwardsPanics(t *testing.T) {
 	}()
 	m.Set(50)
 }
+
+// BenchmarkWallClockNow prices one clock read: the cost every stamp on a
+// lock's hot path pays (DESIGN §2, §6).
+func BenchmarkWallClockNow(b *testing.B) {
+	var c WallClock
+	for b.Loop() {
+		benchSink = c.Now()
+	}
+}
+
+var benchSink uint64
