@@ -27,9 +27,9 @@ func benchHashmapPoint(b *testing.B, algo string, threads, lookups, updatePct in
 	b.Helper()
 	var last harness.Point
 	for i := 0; i < b.N; i++ {
-		pt, err := harness.RunHashmapPoint(harness.HashmapPointConfig{
+		pt, err := harness.RunPoint(harness.PointConfig{
 			Algo: algo, Threads: threads, Profile: p,
-			Workload: workload.HashmapConfig{
+			Workload: harness.Hashmap{
 				Buckets: 512, Items: items,
 				LookupsPerRead: lookups, UpdatePercent: updatePct,
 			},
@@ -111,10 +111,12 @@ func benchTPCCPoint(b *testing.B, algo string, threads int, p htm.Profile) {
 	b.Helper()
 	var last harness.Point
 	for i := 0; i < b.N; i++ {
-		pt, err := harness.RunTPCCPoint(harness.TPCCPointConfig{
+		pt, err := harness.RunPoint(harness.PointConfig{
 			Algo: algo, Threads: threads, Profile: p,
-			Scale:   tpcc.Config{Warehouses: threads, CustomersPerDistrict: 48, Items: 1024},
-			Mix:     workload.PaperMix(),
+			Workload: harness.TPCC{
+				Scale: tpcc.Config{Warehouses: threads, CustomersPerDistrict: 48, Items: 1024},
+				Mix:   workload.PaperMix(),
+			},
 			Horizon: benchHorizon, Seed: 1,
 		})
 		if err != nil {

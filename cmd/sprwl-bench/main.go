@@ -34,7 +34,6 @@ import (
 	"sprwl/internal/harness"
 	"sprwl/internal/htm"
 	"sprwl/internal/obs"
-	"sprwl/internal/workload"
 )
 
 func main() {
@@ -163,10 +162,10 @@ func runTrace(path string, waitprof bool, algo string, threads int, p htm.Profil
 		sinks = append(sinks, prof)
 	}
 
-	wl := workload.HashmapConfig{Buckets: 256, Items: 16384, LookupsPerRead: 10, UpdatePercent: 10}
-	pt, err := harness.RunHashmapPoint(harness.HashmapPointConfig{
+	pt, err := harness.RunPoint(harness.PointConfig{
 		Algo: algo, Threads: threads, Profile: p,
-		Workload: wl, Horizon: horizon, Seed: seed, Sinks: sinks,
+		Workload: harness.Hashmap{Buckets: 256, Items: 16384, LookupsPerRead: 10, UpdatePercent: 10},
+		Horizon:  horizon, Seed: seed, Sinks: sinks,
 	})
 	if err != nil {
 		return err

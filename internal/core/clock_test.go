@@ -142,4 +142,37 @@ func TestSectionClockReads(t *testing.T) {
 		data := ar.AllocLines(1)
 		requireClockReads(t, clk, "Read", 0, func() { h.Read(7, 0, func(acc memmodel.Accessor) { acc.Load(data) }) })
 	})
+
+	// A writer whose entry stamp feeds only the ring reads no clock for
+	// it: a NoSched lock makes no ReaderSync advertisement, and a dynamic
+	// handle goes straight to the fallback lock without one.
+	for _, r := range []struct {
+		name        string
+		opts        func() core.Options
+		capLines    int
+		dynamic     bool
+		read, write uint64
+	}{
+		{"NoSched/HTM/slot1", core.NoSchedOptions, 0, false, 0, 0},
+		{"NoSched/SGL/slot1", core.NoSchedOptions, 1, false, 0, 0},
+		{"SNZI/dynamic", core.SNZIOptions, 0, true, 0, 0},
+	} {
+		t.Run(r.name+"/traced=false", func(t *testing.T) {
+			clk := &countingClock{}
+			space := htm.MustNewSpace(htm.Config{Threads: 2, Words: 1 << 14})
+			space.SetSlotCapacity(1, r.capLines, r.capLines)
+			ar := memmodel.NewArena(0, space.Size())
+			l := core.MustNew(htm.NewRuntime(space, clk), ar, 2, 4, r.opts(), nil)
+			h := l.NewHandle(1)
+			if r.dynamic {
+				var err error
+				if h, err = l.NewDynamicHandle(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data := ar.AllocLines(1)
+			requireClockReads(t, clk, "Read", r.read, func() { h.Read(1, func(acc memmodel.Accessor) { acc.Load(data) }) })
+			requireClockReads(t, clk, "Write", r.write, func() { h.Write(0, func(acc memmodel.Accessor) { acc.Store(data, acc.Load(data)+1) }) })
+		})
+	}
 }

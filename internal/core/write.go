@@ -23,9 +23,15 @@ import (
 //sprwl:model
 func (h *handle) Write(csID int, body rwlock.Body) {
 	l := h.l
-	// start is both the Section event's start and the base of the
-	// ReaderSync advertisement below.
-	start := l.e.Now()
+	// start is the Section event's start. Only a slot handle with
+	// ReaderSync also bases its advertisement below on it; elsewhere it
+	// feeds only the ring.
+	var start uint64
+	if l.opts.ReaderSync && h.slot >= 0 {
+		start = l.e.Now()
+	} else {
+		start = h.ring.Stamp(l.e)
+	}
 
 	// Dynamic handles (slot < 0) cannot run hardware attempts (those
 	// need an environment slot) or advertise in the per-slot state

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sprwl/internal/htm"
-	"sprwl/internal/workload"
 )
 
 // RunOpts tunes an experiment run.
@@ -41,6 +40,15 @@ func (o *RunOpts) horizon() uint64 {
 	return h
 }
 
+// profile returns the machine model of a figure that follows
+// RunOpts.Profile: Broadwell when unset.
+func (o *RunOpts) profile() htm.Profile {
+	if o.Profile.Name == "" {
+		return htm.Broadwell()
+	}
+	return o.Profile
+}
+
 func (o *RunOpts) progress(format string, args ...any) {
 	if o.Progress != nil {
 		o.Progress(fmt.Sprintf(format, args...))
@@ -72,7 +80,7 @@ func threadSweep(p htm.Profile, quick bool) []int {
 // hashmapFor returns the §4.1 population for the profile, sized so that the
 // paper's regimes hold: a 10-lookup read section overflows the effective
 // read capacity while a 1-lookup section (and update sections) fit.
-func hashmapFor(p htm.Profile) workload.HashmapConfig {
+func hashmapFor(p htm.Profile) Hashmap {
 	switch p.Name {
 	case "power8":
 		// Chains of ~128 lines: a 10-lookup read section touches ~640
@@ -81,13 +89,13 @@ func hashmapFor(p htm.Profile) workload.HashmapConfig {
 		// wasting only ~capacity/footprint of the work; a 1-lookup
 		// section (~64 lines) fits until SMT sharing shrinks the
 		// capacity at high thread counts, as on the paper's machine.
-		return workload.HashmapConfig{Buckets: 512, Items: 65536}
+		return Hashmap{Buckets: 512, Items: 65536}
 	default:
 		// Chains of ~256 lines against the 384-line effective
 		// capacity: update sections (half-chain traversals, ≤256
 		// lines) always fit, 1-lookup read sections fit, 10-lookup
 		// sections (~1280 lines) overflow — the paper's regime.
-		return workload.HashmapConfig{Buckets: 512, Items: 131072}
+		return Hashmap{Buckets: 512, Items: 131072}
 	}
 }
 
@@ -101,43 +109,31 @@ func figAlgos(p htm.Profile) []string {
 	return algos
 }
 
+// cappedSweepNote is the note of a figure whose POWER8 thread sweep stops
+// at the simulator's slot limit.
+const cappedSweepNote = "thread sweep capped at 64 (simulator slot limit); paper goes to 80"
+
 // runHashmapFigure produces the Fig. 3/4 layout: one section per update
 // mix, each sweeping threads × algorithms.
 func runHashmapFigure(id, title string, lookups int, opts RunOpts) (*Report, error) {
-	p := opts.Profile
-	if p.Name == "" {
-		p = htm.Broadwell()
-	}
+	p := opts.profile()
 	rep := &Report{ID: id, Title: fmt.Sprintf("%s (%s)", title, p.Name)}
 	if p.Name == "power8" {
-		rep.Notes = append(rep.Notes, "thread sweep capped at 64 (simulator slot limit); paper goes to 80")
+		rep.Notes = append(rep.Notes, cappedSweepNote)
 	}
-	wl := hashmapFor(p)
-	wl.LookupsPerRead = lookups
-	var jobs []pointJob
-	for si, mix := range []int{10, 50, 90} {
-		rep.Sections = append(rep.Sections, Section{Title: fmt.Sprintf("%d%% update", mix)})
+	s := newSweep(rep, p, opts)
+	for _, mix := range []int{10, 50, 90} {
+		s.section(fmt.Sprintf("%d%% update", mix))
+		wl := hashmapFor(p)
+		wl.LookupsPerRead = lookups
+		wl.UpdatePercent = mix
 		for _, algo := range figAlgos(p) {
 			for _, n := range threadSweep(p, opts.Quick) {
-				cfg := HashmapPointConfig{
-					Algo: algo, Threads: n, Profile: p,
-					Workload: wl, Horizon: opts.horizon(), Seed: opts.Seed,
-				}
-				cfg.Workload.UpdatePercent = mix
-				jobs = append(jobs, pointJob{
-					section: si,
-					label:   fmt.Sprintf("%s %d%% update %s@%d", id, mix, algo, n),
-					run:     func() (Point, error) { return RunHashmapPoint(cfg) },
-				})
+				s.add(algo, n, wl)
 			}
 		}
 	}
-	pts, err := runJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	assemble(rep, jobs, pts)
-	return rep, nil
+	return s.run()
 }
 
 // Fig3 regenerates Figure 3: hashmap with 10-lookup read sections (readers
@@ -159,69 +155,48 @@ func Fig5(opts RunOpts) (*Report, error) {
 	wl := hashmapFor(p)
 	wl.LookupsPerRead = 10
 	wl.UpdatePercent = 10
-	rep := &Report{ID: "fig5", Title: "Scheduling ablation (broadwell, 10% update, long readers)"}
-	rep.Sections = append(rep.Sections, Section{Title: "10% update"})
-	var jobs []pointJob
+	s := newSweep(&Report{ID: "fig5", Title: "Scheduling ablation (broadwell, 10% update, long readers)"}, p, opts)
+	s.section("10% update")
 	for _, algo := range []string{AlgoTLE, AlgoSpRWLNoSched, AlgoSpRWLRWait, AlgoSpRWLRSync, AlgoSpRWL} {
 		for _, n := range threadSweep(p, opts.Quick) {
-			cfg := HashmapPointConfig{
-				Algo: algo, Threads: n, Profile: p,
-				Workload: wl, Horizon: opts.horizon(), Seed: opts.Seed,
-			}
-			jobs = append(jobs, pointJob{
-				label: fmt.Sprintf("fig5 %s@%d", algo, n),
-				run:   func() (Point, error) { return RunHashmapPoint(cfg) },
-			})
+			s.add(algo, n, wl)
 		}
 	}
-	pts, err := runJobs(opts, jobs)
-	if err != nil {
-		return nil, err
+	return s.run()
+}
+
+// readerSizeSweep produces the Fig. 6 / extauto layout on POWER8 at the
+// maximum thread count, 50% updates: one section per reader size, each
+// comparing algos.
+func readerSizeSweep(rep *Report, lookupSweep []int, algos []string, threads int, opts RunOpts) (*Report, error) {
+	p := htm.Power8()
+	s := newSweep(rep, p, opts)
+	for _, lookups := range lookupSweep {
+		s.section(fmt.Sprintf("reader size = %d lookups", lookups))
+		wl := hashmapFor(p)
+		wl.LookupsPerRead = lookups
+		wl.UpdatePercent = 50
+		for _, algo := range algos {
+			s.add(algo, threads, wl)
+		}
 	}
-	assemble(rep, jobs, pts)
-	return rep, nil
+	return s.run()
 }
 
 // Fig6 regenerates Figure 6: flag-array vs SNZI reader tracking on POWER8
 // at the maximum thread count, 50% updates, sweeping the reader size (the
 // paper's reader/writer size ratio axis).
 func Fig6(opts RunOpts) (*Report, error) {
-	p := htm.Power8()
 	threads := 64 // paper uses 80; simulator slot limit is 64
+	lookupSweep := []int{1, 4, 16, 64, 128}
 	if opts.Quick {
 		threads = 32
+		lookupSweep = []int{1, 16, 128}
 	}
 	rep := &Report{
 		ID:    "fig6",
 		Title: fmt.Sprintf("Reader tracking: flags vs SNZI (power8, 50%% update, %d threads)", threads),
 		Notes: []string{"80 paper threads capped at 64 (simulator slot limit)"},
 	}
-	lookupSweep := []int{1, 4, 16, 64, 128}
-	if opts.Quick {
-		lookupSweep = []int{1, 16, 128}
-	}
-	var jobs []pointJob
-	for si, lookups := range lookupSweep {
-		wl := hashmapFor(p)
-		wl.LookupsPerRead = lookups
-		wl.UpdatePercent = 50
-		rep.Sections = append(rep.Sections, Section{Title: fmt.Sprintf("reader size = %d lookups", lookups)})
-		for _, algo := range []string{AlgoSpRWL, AlgoSpRWLSNZI} {
-			cfg := HashmapPointConfig{
-				Algo: algo, Threads: threads, Profile: p,
-				Workload: wl, Horizon: opts.horizon(), Seed: opts.Seed,
-			}
-			jobs = append(jobs, pointJob{
-				section: si,
-				label:   fmt.Sprintf("fig6 %s lookups=%d", algo, lookups),
-				run:     func() (Point, error) { return RunHashmapPoint(cfg) },
-			})
-		}
-	}
-	pts, err := runJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	assemble(rep, jobs, pts)
-	return rep, nil
+	return readerSizeSweep(rep, lookupSweep, []string{AlgoSpRWL, AlgoSpRWLSNZI}, threads, opts)
 }

@@ -1,14 +1,6 @@
 package harness
 
-import (
-	"fmt"
-
-	"sprwl/internal/htm"
-	"sprwl/internal/memmodel"
-	"sprwl/internal/sim"
-	"sprwl/internal/stats"
-	"sprwl/internal/workload"
-)
+import "fmt"
 
 // Extension experiments — beyond the paper's own figures, these exercise
 // the future-work directions §5 sketches (self-tuning SNZI), the §3.3
@@ -16,91 +8,29 @@ import (
 // introduction's motivating ordered-map range-scan workload. EXPERIMENTS.md
 // reports them alongside the reproduced figures.
 
-// RangeScanPointConfig configures one simulated ordered-map data point.
-type RangeScanPointConfig struct {
-	Algo     string
-	Threads  int
-	Profile  htm.Profile
-	Workload workload.RangeScanConfig
-	Horizon  uint64
-	Seed     uint64
-}
-
-// RunRangeScanPoint executes one deterministic range-scan measurement.
-func RunRangeScanPoint(cfg RangeScanPointConfig) (Point, error) {
-	if cfg.Horizon == 0 {
-		cfg.Horizon = DefaultHorizon
-	}
-	cfg.Workload.Validate()
-	words := workload.RangeScanWords(cfg.Workload) + LockWords(cfg.Threads)
-	eng, err := sim.NewEngine(sim.Config{Threads: cfg.Threads, Words: words, Profile: cfg.Profile})
-	if err != nil {
-		return Point{}, err
-	}
-	e := eng.Env()
-	space := eng.Space()
-	ar := memmodel.NewArena(0, space.Size())
-	col := stats.NewCollector(cfg.Threads)
-	lock, err := BuildLock(cfg.Algo, e, ar, cfg.Threads, workload.NumRangeScanCS, col.Pipeline())
-	if err != nil {
-		return Point{}, err
-	}
-	dataStart := ar.Next()
-	rs := workload.SetupRangeScan(space, ar, cfg.Workload, cfg.Threads)
-	eng.MarkStreaming(dataStart, int(space.Size()-dataStart))
-
-	horizon := cfg.Horizon
-	cycles := eng.Run(func(slot int) {
-		step := rs.Worker(lock.NewHandle(slot), slot, cfg.Seed)
-		for e.Now() < horizon {
-			step()
-		}
-	})
-	return pointFrom(cfg.Algo, cfg.Threads, col.Snapshot(), cycles), nil
-}
-
 // ExtScan runs the ordered-map range-scan workload (the paper's §1
 // motivation) across the standard baselines.
 func ExtScan(opts RunOpts) (*Report, error) {
-	p := opts.Profile
-	if p.Name == "" {
-		p = htm.Broadwell()
-	}
-	rep := &Report{
+	p := opts.profile()
+	s := newSweep(&Report{
 		ID:    "extscan",
 		Title: fmt.Sprintf("Ordered-map range scans over point updates (%s)", p.Name),
 		Notes: []string{"extension experiment: the introduction's motivating workload on a skiplist"},
-	}
-	var jobs []pointJob
-	for si, mix := range []int{10, 50} {
-		rep.Sections = append(rep.Sections, Section{Title: fmt.Sprintf("%d%% update", mix)})
+	}, p, opts)
+	for _, mix := range []int{10, 50} {
+		s.section(fmt.Sprintf("%d%% update", mix))
 		for _, algo := range figAlgos(p) {
 			for _, n := range threadSweep(p, opts.Quick) {
-				cfg := RangeScanPointConfig{
-					Algo: algo, Threads: n, Profile: p,
-					Workload: workload.RangeScanConfig{UpdatePercent: mix},
-					Horizon:  opts.horizon(), Seed: opts.Seed,
-				}
-				jobs = append(jobs, pointJob{
-					section: si,
-					label:   fmt.Sprintf("extscan %d%% update %s@%d", mix, algo, n),
-					run:     func() (Point, error) { return RunRangeScanPoint(cfg) },
-				})
+				s.add(algo, n, RangeScan{UpdatePercent: mix})
 			}
 		}
 	}
-	pts, err := runJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	assemble(rep, jobs, pts)
-	return rep, nil
+	return s.run()
 }
 
 // ExtAuto compares static flag-array and SNZI tracking against the §5
 // self-tuning controller across reader sizes.
 func ExtAuto(opts RunOpts) (*Report, error) {
-	p := htm.Power8()
 	threads := 64
 	if opts.Quick {
 		threads = 32
@@ -110,67 +40,27 @@ func ExtAuto(opts RunOpts) (*Report, error) {
 		Title: fmt.Sprintf("Self-tuning SNZI (power8, 50%% update, %d threads)", threads),
 		Notes: []string{"extension experiment: the paper's §5 future-work self-tuning reader tracking"},
 	}
-	lookups := []int{1, 16, 128}
-	var jobs []pointJob
-	for si, lk := range lookups {
-		wl := hashmapFor(p)
-		wl.LookupsPerRead = lk
-		wl.UpdatePercent = 50
-		rep.Sections = append(rep.Sections, Section{Title: fmt.Sprintf("reader size = %d lookups", lk)})
-		for _, algo := range []string{AlgoSpRWL, AlgoSpRWLSNZI, AlgoSpRWLAuto} {
-			cfg := HashmapPointConfig{
-				Algo: algo, Threads: threads, Profile: p,
-				Workload: wl, Horizon: opts.horizon(), Seed: opts.Seed,
-			}
-			jobs = append(jobs, pointJob{
-				section: si,
-				label:   fmt.Sprintf("extauto %s lookups=%d", algo, lk),
-				run:     func() (Point, error) { return RunHashmapPoint(cfg) },
-			})
-		}
-	}
-	pts, err := runJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	assemble(rep, jobs, pts)
-	return rep, nil
+	return readerSizeSweep(rep, []int{1, 16, 128}, []string{AlgoSpRWL, AlgoSpRWLSNZI, AlgoSpRWLAuto}, threads, opts)
 }
 
 // ExtVSGL evaluates the §3.3 versioned fallback lock: reader latency under
 // an update-heavy long-reader workload whose writers frequently hold the
 // fallback lock.
 func ExtVSGL(opts RunOpts) (*Report, error) {
-	p := opts.Profile
-	if p.Name == "" {
-		p = htm.Broadwell()
-	}
+	p := opts.profile()
 	wl := hashmapFor(p)
 	wl.LookupsPerRead = 10
 	wl.UpdatePercent = 90
-	rep := &Report{
+	s := newSweep(&Report{
 		ID:    "extvsgl",
 		Title: fmt.Sprintf("Versioned fallback lock (§3.3), 90%% update, long readers (%s)", p.Name),
 		Notes: []string{"extension experiment: anti-starvation scheme described but not evaluated by the paper"},
-	}
-	rep.Sections = append(rep.Sections, Section{Title: "90% update"})
-	var jobs []pointJob
+	}, p, opts)
+	s.section("90% update")
 	for _, algo := range []string{AlgoSpRWL, AlgoSpRWLVSGL} {
 		for _, n := range threadSweep(p, opts.Quick) {
-			cfg := HashmapPointConfig{
-				Algo: algo, Threads: n, Profile: p,
-				Workload: wl, Horizon: opts.horizon(), Seed: opts.Seed,
-			}
-			jobs = append(jobs, pointJob{
-				label: fmt.Sprintf("extvsgl %s@%d", algo, n),
-				run:   func() (Point, error) { return RunHashmapPoint(cfg) },
-			})
+			s.add(algo, n, wl)
 		}
 	}
-	pts, err := runJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	assemble(rep, jobs, pts)
-	return rep, nil
+	return s.run()
 }

@@ -40,28 +40,41 @@ func TestBuildLockRejectsUnknown(t *testing.T) {
 	}
 }
 
-func smallHashmapCfg() workload.HashmapConfig {
-	return workload.HashmapConfig{Buckets: 128, Items: 8192, LookupsPerRead: 10, UpdatePercent: 10}
+func smallHashmapCfg() Hashmap {
+	return Hashmap{Buckets: 128, Items: 8192, LookupsPerRead: 10, UpdatePercent: 10}
 }
 
-func TestRunHashmapPointIsDeterministic(t *testing.T) {
-	cfg := HashmapPointConfig{
-		Algo: AlgoSpRWL, Threads: 8, Profile: htm.Power8(),
-		Workload: smallHashmapCfg(), Horizon: 200_000, Seed: 3,
-	}
-	a, err := RunHashmapPoint(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunHashmapPoint(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("identical configs produced different points:\n%+v\n%+v", a, b)
-	}
-	if a.Ops == 0 {
-		t.Fatal("point completed zero operations")
+// TestRunPointIsDeterministic runs each workload twice from the same
+// config: the two points must be identical and nonempty.
+func TestRunPointIsDeterministic(t *testing.T) {
+	for name, wl := range map[string]Workload{
+		"hashmap":   smallHashmapCfg(),
+		"rangescan": RangeScan{Items: 2048, ScanSpan: 64, UpdatePercent: 10},
+		"tpcc": TPCC{
+			Scale: tpcc.Config{Warehouses: 4, CustomersPerDistrict: 16, Items: 256},
+			Mix:   workload.PaperMix(),
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := PointConfig{
+				Algo: AlgoSpRWL, Threads: 4, Profile: htm.Power8(),
+				Workload: wl, Horizon: 200_000, Seed: 3,
+			}
+			a, err := RunPoint(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := RunPoint(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a != b {
+				t.Fatalf("identical configs produced different points:\n%+v\n%+v", a, b)
+			}
+			if a.Ops == 0 {
+				t.Fatal("point completed zero operations")
+			}
+		})
 	}
 }
 
@@ -75,13 +88,13 @@ func TestSimulatedPointIgnoresGOMAXPROCS(t *testing.T) {
 	wl := hashmapFor(p)
 	wl.LookupsPerRead = 16
 	wl.UpdatePercent = 50
-	cfg := HashmapPointConfig{
+	cfg := PointConfig{
 		Algo: AlgoSpRWLAuto, Threads: 32, Profile: p,
 		Workload: wl, Horizon: DefaultHorizon / 8, Seed: 1,
 	}
 	run := func(procs int) Point {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		pt, err := RunHashmapPoint(cfg)
+		pt, err := RunPoint(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +110,7 @@ func TestSimulatedPointIgnoresGOMAXPROCS(t *testing.T) {
 // collapse onto the serial fallback lock.
 func TestHeadlineShape(t *testing.T) {
 	run := func(algo string) Point {
-		pt, err := RunHashmapPoint(HashmapPointConfig{
+		pt, err := RunPoint(PointConfig{
 			Algo: algo, Threads: 8, Profile: htm.Power8(),
 			Workload: smallHashmapCfg(), Horizon: 400_000, Seed: 1,
 		})
@@ -116,21 +129,6 @@ func TestHeadlineShape(t *testing.T) {
 	}
 	if tle.GLShare < 0.5 {
 		t.Fatalf("TLE GL share = %.2f, expected fallback-dominated execution", tle.GLShare)
-	}
-}
-
-func TestRunTPCCPoint(t *testing.T) {
-	pt, err := RunTPCCPoint(TPCCPointConfig{
-		Algo: AlgoSpRWL, Threads: 4, Profile: htm.Power8(),
-		Scale:   tpcc.Config{Warehouses: 4, CustomersPerDistrict: 16, Items: 256},
-		Mix:     workload.PaperMix(),
-		Horizon: 200_000, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.Ops == 0 {
-		t.Fatal("TPC-C point completed zero transactions")
 	}
 }
 

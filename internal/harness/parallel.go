@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"sprwl/internal/htm"
 )
 
 // Figure sweeps are embarrassingly parallel: every data point builds its own
@@ -20,7 +22,49 @@ import (
 type pointJob struct {
 	section int
 	label   string
-	run     func() (Point, error)
+	cfg     PointConfig
+}
+
+// sweep builds one figure's report in three calls: section opens a panel,
+// add files a point under the latest panel, and run measures every point.
+// It fills in the profile, horizon and seed of each point.
+type sweep struct {
+	rep     *Report
+	profile htm.Profile
+	opts    RunOpts
+	jobs    []pointJob
+}
+
+func newSweep(rep *Report, p htm.Profile, opts RunOpts) *sweep {
+	return &sweep{rep: rep, profile: p, opts: opts}
+}
+
+func (s *sweep) section(title string) {
+	s.rep.Sections = append(s.rep.Sections, Section{Title: title})
+}
+
+func (s *sweep) add(algo string, threads int, wl Workload) {
+	sec := len(s.rep.Sections) - 1
+	s.jobs = append(s.jobs, pointJob{
+		section: sec,
+		label:   fmt.Sprintf("%s %s %s@%d", s.rep.ID, s.rep.Sections[sec].Title, algo, threads),
+		cfg: PointConfig{
+			Algo: algo, Threads: threads, Profile: s.profile,
+			Workload: wl, Horizon: s.opts.horizon(), Seed: s.opts.Seed,
+		},
+	})
+}
+
+func (s *sweep) run() (*Report, error) {
+	pts, err := runJobs(s.opts, s.jobs)
+	if err != nil {
+		return nil, err
+	}
+	for i, j := range s.jobs {
+		sec := &s.rep.Sections[j.section]
+		sec.Points = append(sec.Points, pts[i])
+	}
+	return s.rep, nil
 }
 
 // workers resolves the effective pool size: RunOpts.Parallel, or GOMAXPROCS
@@ -36,31 +80,15 @@ func (o *RunOpts) workers() int {
 // returns the points in job order. On failure it reports the error of the
 // lowest-indexed failing job (deterministic regardless of scheduling).
 func runJobs(opts RunOpts, jobs []pointJob) ([]Point, error) {
-	pts := make([]Point, len(jobs))
-	workers := opts.workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for i := range jobs {
-			pt, err := jobs[i].run()
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", jobs[i].label, err)
-			}
-			opts.progress("%s: %s", jobs[i].label, pt)
-			pts[i] = pt
-		}
-		return pts, nil
-	}
-
 	var (
+		pts      = make([]Point, len(jobs))
+		errs     = make([]error, len(jobs))
 		next     atomic.Int64
 		failed   atomic.Bool
-		errs     = make([]error, len(jobs))
 		progress sync.Mutex
 		wg       sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
+	for range min(opts.workers(), len(jobs)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -69,18 +97,16 @@ func runJobs(opts RunOpts, jobs []pointJob) ([]Point, error) {
 				if i >= len(jobs) {
 					return
 				}
-				pt, err := jobs[i].run()
+				pt, err := RunPoint(jobs[i].cfg)
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)
 					return
 				}
 				pts[i] = pt
-				if opts.Progress != nil {
-					progress.Lock()
-					opts.progress("%s: %s", jobs[i].label, pt)
-					progress.Unlock()
-				}
+				progress.Lock()
+				opts.progress("%s: %s", jobs[i].label, pt)
+				progress.Unlock()
 			}
 		}()
 	}
@@ -91,12 +117,4 @@ func runJobs(opts RunOpts, jobs []pointJob) ([]Point, error) {
 		}
 	}
 	return pts, nil
-}
-
-// assemble distributes points into the report's sections, preserving job
-// order within each section.
-func assemble(rep *Report, jobs []pointJob, pts []Point) {
-	for i, j := range jobs {
-		rep.Sections[j.section].Points = append(rep.Sections[j.section].Points, pts[i])
-	}
 }

@@ -7,8 +7,10 @@ import (
 	"sprwl/internal/htm"
 	"sprwl/internal/memmodel"
 	"sprwl/internal/obs"
+	"sprwl/internal/rwlock"
 	"sprwl/internal/sim"
 	"sprwl/internal/stats"
+	"sprwl/internal/tpcc"
 	"sprwl/internal/workload"
 )
 
@@ -70,12 +72,64 @@ func pointFrom(algo string, threads int, snap stats.Snapshot, cycles uint64) Poi
 	return p
 }
 
-// HashmapPointConfig configures one simulated hashmap data point.
-type HashmapPointConfig struct {
+// Workload is the simulated application a point runs: Hashmap, RangeScan
+// or TPCC.
+type Workload interface {
+	// footprint returns the words the workload's data needs and its
+	// number of distinct critical sections, which sizes SpRWL's duration
+	// estimator.
+	footprint() (words, numCS int)
+	// setup lays the data out in ar, populating it through acc, and
+	// returns the constructor of each thread's step: one critical section
+	// per call.
+	setup(acc memmodel.Accessor, ar *memmodel.Arena, threads int, seed uint64, now func() uint64) func(h rwlock.Handle, slot int) func()
+}
+
+// Hashmap is the §4.1 hashmap micro-benchmark (Figs. 3–6, extauto,
+// extvsgl).
+type Hashmap workload.HashmapConfig
+
+func (w Hashmap) footprint() (int, int) {
+	return workload.HashmapWords(workload.HashmapConfig(w)), workload.NumHashmapCS
+}
+
+func (w Hashmap) setup(acc memmodel.Accessor, ar *memmodel.Arena, threads int, seed uint64, _ func() uint64) func(rwlock.Handle, int) func() {
+	hm := workload.SetupHashmap(acc, ar, workload.HashmapConfig(w), threads)
+	return func(h rwlock.Handle, slot int) func() { return hm.Worker(h, slot, seed) }
+}
+
+// RangeScan is the ordered-map range-scan workload (extscan).
+type RangeScan workload.RangeScanConfig
+
+func (w RangeScan) footprint() (int, int) {
+	return workload.RangeScanWords(workload.RangeScanConfig(w)), workload.NumRangeScanCS
+}
+
+func (w RangeScan) setup(acc memmodel.Accessor, ar *memmodel.Arena, threads int, seed uint64, _ func() uint64) func(rwlock.Handle, int) func() {
+	rs := workload.SetupRangeScan(acc, ar, workload.RangeScanConfig(w), threads)
+	return func(h rwlock.Handle, slot int) func() { return rs.Worker(h, slot, seed) }
+}
+
+// TPCC is the TPC-C workload of Fig. 7: a database of the given scale
+// driven by the given transaction mix.
+type TPCC struct {
+	Scale tpcc.Config
+	Mix   workload.TPCCMix
+}
+
+func (w TPCC) footprint() (int, int) { return workload.TPCCWords(w.Scale), workload.NumTPCCCS }
+
+func (w TPCC) setup(acc memmodel.Accessor, ar *memmodel.Arena, _ int, seed uint64, now func() uint64) func(rwlock.Handle, int) func() {
+	db := workload.SetupTPCC(acc, ar, w.Scale, w.Mix, seed)
+	return func(h rwlock.Handle, slot int) func() { return db.Worker(h, slot, seed, now) }
+}
+
+// PointConfig configures one simulated data point.
+type PointConfig struct {
 	Algo     string
 	Threads  int
 	Profile  htm.Profile
-	Workload workload.HashmapConfig
+	Workload Workload
 	// Horizon is the virtual measurement window; 0 selects
 	// DefaultHorizon.
 	Horizon uint64
@@ -87,16 +141,15 @@ type HashmapPointConfig struct {
 	Sinks []obs.Sink
 }
 
-// RunHashmapPoint executes one deterministic simulated measurement.
-func RunHashmapPoint(cfg HashmapPointConfig) (Point, error) {
+// RunPoint executes one deterministic simulated measurement.
+func RunPoint(cfg PointConfig) (Point, error) {
 	if cfg.Horizon == 0 {
 		cfg.Horizon = DefaultHorizon
 	}
-	cfg.Workload.Validate()
-	words := workload.HashmapWords(cfg.Workload) + LockWords(cfg.Threads)
+	words, numCS := cfg.Workload.footprint()
 	eng, err := sim.NewEngine(sim.Config{
 		Threads: cfg.Threads,
-		Words:   words,
+		Words:   words + LockWords(cfg.Threads),
 		Profile: cfg.Profile,
 	})
 	if err != nil {
@@ -110,21 +163,21 @@ func RunHashmapPoint(cfg HashmapPointConfig) (Point, error) {
 	if len(cfg.Sinks) > 0 {
 		eng.AttachObs(pipe)
 	}
-	lock, err := BuildLock(cfg.Algo, e, ar, cfg.Threads, workload.NumHashmapCS, pipe)
+	lock, err := BuildLock(cfg.Algo, e, ar, cfg.Threads, numCS, pipe)
 	if err != nil {
 		return Point{}, err
 	}
-	// Everything from here on is bulk workload data (bucket chains and
-	// node storage): hundreds of megabytes at paper scale, so it never
-	// stays cache-resident. Lock state allocated above keeps the
+	// Everything from here on is bulk workload data (bucket chains, node
+	// storage, database tables): hundreds of megabytes at paper scale, so
+	// it never stays cache-resident. Lock state allocated above keeps the
 	// locality-aware cost model.
 	dataStart := ar.Next()
-	hm := workload.SetupHashmap(space, ar, cfg.Workload, cfg.Threads)
+	worker := cfg.Workload.setup(space, ar, cfg.Threads, cfg.Seed, e.Now)
 	eng.MarkStreaming(dataStart, int(space.Size()-dataStart))
 
 	horizon := cfg.Horizon
 	cycles := eng.Run(func(slot int) {
-		step := hm.Worker(lock.NewHandle(slot), slot, cfg.Seed)
+		step := worker(lock.NewHandle(slot), slot)
 		for e.Now() < horizon {
 			step()
 		}

@@ -3,103 +3,34 @@ package harness
 import (
 	"fmt"
 
-	"sprwl/internal/htm"
-	"sprwl/internal/memmodel"
-	"sprwl/internal/sim"
-	"sprwl/internal/stats"
 	"sprwl/internal/tpcc"
 	"sprwl/internal/workload"
 )
-
-// TPCCPointConfig configures one simulated TPC-C data point.
-type TPCCPointConfig struct {
-	Algo    string
-	Threads int
-	Profile htm.Profile
-	Scale   tpcc.Config
-	Mix     workload.TPCCMix
-	Horizon uint64
-	Seed    uint64
-}
-
-// RunTPCCPoint executes one deterministic simulated TPC-C measurement.
-func RunTPCCPoint(cfg TPCCPointConfig) (Point, error) {
-	if cfg.Horizon == 0 {
-		cfg.Horizon = DefaultHorizon
-	}
-	cfg.Scale.Validate()
-	words := workload.TPCCWords(cfg.Scale) + LockWords(cfg.Threads)
-	eng, err := sim.NewEngine(sim.Config{
-		Threads: cfg.Threads,
-		Words:   words,
-		Profile: cfg.Profile,
-	})
-	if err != nil {
-		return Point{}, err
-	}
-	e := eng.Env()
-	space := eng.Space()
-	ar := memmodel.NewArena(0, space.Size())
-	col := stats.NewCollector(cfg.Threads)
-	lock, err := BuildLock(cfg.Algo, e, ar, cfg.Threads, workload.NumTPCCCS, col.Pipeline())
-	if err != nil {
-		return Point{}, err
-	}
-	dataStart := ar.Next()
-	db := workload.SetupTPCC(space, ar, cfg.Scale, cfg.Mix, cfg.Seed)
-	eng.MarkStreaming(dataStart, int(space.Size()-dataStart))
-
-	horizon := cfg.Horizon
-	cycles := eng.Run(func(slot int) {
-		step := db.Worker(lock.NewHandle(slot), slot, cfg.Seed, e.Now)
-		for e.Now() < horizon {
-			step()
-		}
-	})
-	return pointFrom(cfg.Algo, cfg.Threads, col.Snapshot(), cycles), nil
-}
 
 // Fig7 regenerates Figure 7: TPC-C with the paper's mix (Stock-Level 31%,
 // Delivery 4%, Order-Status 4%, Payment 43%, New-Order 18%), warehouses
 // equal to the maximum thread count, sweeping threads over all baselines
 // plus the SNZI variant.
 func Fig7(opts RunOpts) (*Report, error) {
-	p := opts.Profile
-	if p.Name == "" {
-		p = htm.Broadwell()
-	}
+	p := opts.profile()
 	sweep := threadSweep(p, opts.Quick)
 	maxThreads := sweep[len(sweep)-1]
-	scale := tpcc.Config{Warehouses: maxThreads}
 	rep := &Report{
 		ID:    "fig7",
 		Title: fmt.Sprintf("TPC-C, paper mix (%s, %d warehouses)", p.Name, maxThreads),
 	}
 	if p.Name == "power8" {
-		rep.Notes = append(rep.Notes, "thread sweep capped at 64 (simulator slot limit); paper goes to 80")
+		rep.Notes = append(rep.Notes, cappedSweepNote)
 	}
-	algos := append(figAlgos(p), AlgoSpRWLSNZI)
-	rep.Sections = append(rep.Sections, Section{Title: "paper mix"})
-	var jobs []pointJob
-	for _, algo := range algos {
+	wl := TPCC{Scale: tpcc.Config{Warehouses: maxThreads}, Mix: workload.PaperMix()}
+	s := newSweep(rep, p, opts)
+	s.section("paper mix")
+	for _, algo := range append(figAlgos(p), AlgoSpRWLSNZI) {
 		for _, n := range sweep {
-			cfg := TPCCPointConfig{
-				Algo: algo, Threads: n, Profile: p,
-				Scale: scale, Mix: workload.PaperMix(),
-				Horizon: opts.horizon(), Seed: opts.Seed,
-			}
-			jobs = append(jobs, pointJob{
-				label: fmt.Sprintf("fig7 %s@%d", algo, n),
-				run:   func() (Point, error) { return RunTPCCPoint(cfg) },
-			})
+			s.add(algo, n, wl)
 		}
 	}
-	pts, err := runJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	assemble(rep, jobs, pts)
-	return rep, nil
+	return s.run()
 }
 
 // Experiments returns the full per-figure registry, keyed by experiment ID.

@@ -37,14 +37,6 @@ func (t *TraceSink) Drain(slot int, events []Event) {
 	t.perSlot[slot] = append(t.perSlot[slot], events...)
 }
 
-// Events returns slot's accumulated events in record order.
-func (t *TraceSink) Events(slot int) []Event {
-	if slot < 0 || slot >= len(t.perSlot) {
-		return nil
-	}
-	return t.perSlot[slot]
-}
-
 // cyclesPerMicro scales cycle timestamps to the trace format's microsecond
 // unit. Under the real runtime cycles are nanoseconds; under the simulator
 // they are virtual cycles — either way 1000 cycles per µs keeps spans at a

@@ -150,9 +150,6 @@ func (w *Waiter) Pause(a memmodel.Addr, expected, remaining uint64) {
 	w.E.Yield()
 }
 
-// Waited reports whether any Pause occurred since construction.
-func (w *Waiter) Waited() bool { return w.waited }
-
 // Parked returns the cycles spent parked and the number of park episodes.
 func (w *Waiter) Parked() (cycles uint64, parks int) { return w.parked, int(w.parks) }
 

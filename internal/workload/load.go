@@ -52,6 +52,13 @@ type LoadConfig struct {
 	Stop <-chan struct{}
 }
 
+// sleepMarginNs is how long before an arrival a worker stops sleeping and
+// yield-spins instead. A host sleep overshoots by about 1 ms on a loaded
+// 2-vCPU machine, so a narrower margin wakes the worker late and its
+// latencies measure the timer, not the lock. The margin is twice that
+// overshoot; a worker whose arrivals come closer together never sleeps.
+const sleepMarginNs = 2_000_000
+
 // maxRate is the highest arrival rate RunLoad accepts: one arrival per
 // nanosecond. Above it the timetable's step rounds to zero, so no arrival
 // is ever scheduled past the deadline and the run would never end.
@@ -172,13 +179,9 @@ func RunLoad(kv *KV, cfg LoadConfig) (LoadResult, error) {
 					break
 				}
 				if now := clock.Now(); now < sched {
-					// Coarse sleep, then yield-spin the last stretch:
-					// host sleeps overshoot by up to a timer quantum
-					// (~1ms loaded), which would put a floor under
-					// every latency.
-					const spinNs = 100_000
-					if sched-now > spinNs {
-						time.Sleep(time.Duration(sched - now - spinNs))
+					// Coarse sleep, then yield-spin the last stretch.
+					if sched-now > sleepMarginNs {
+						time.Sleep(time.Duration(sched - now - sleepMarginNs))
 					}
 					for clock.Now() < sched {
 						runtime.Gosched()

@@ -2,6 +2,7 @@ package sprwl
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -89,4 +90,69 @@ func TestConcurrentUseThroughFacade(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
+}
+
+// TestDynamicHandle: DynamicHandle needs a slot-free reader indicator, so
+// it fails under DefaultOptions (flag array). Under SNZI and AutoSNZI,
+// dynamic readers and writers, beyond Config.Threads and beside slot
+// handles, keep the root Example's invariant: a writer keeps a counter
+// pair equal and no reader sees it apart.
+func TestDynamicHandle(t *testing.T) {
+	if _, err := MustNew(Config{Threads: 2, Words: MinWords(2) + 1024}).DynamicHandle(); err == nil {
+		t.Fatal("DynamicHandle succeeded under DefaultOptions")
+	}
+	for name, opts := range map[string]Options{"SNZI": SNZIOptions(), "AutoSNZI": AutoSNZIOptions()} {
+		t.Run(name, func(t *testing.T) {
+			const threads, dynamic, ops = 2, 4, 500
+			l := MustNew(Config{Threads: threads, Words: MinWordsFor(threads, opts) + 4096, Options: opts})
+			x := l.Arena().AllocLines(1)
+			y := l.Arena().AllocLines(1)
+			handles := []Handle{l.Handle(0), l.Handle(1)}
+			for i := 0; i < dynamic; i++ {
+				h, err := l.DynamicHandle()
+				if err != nil {
+					t.Fatal(err)
+				}
+				handles = append(handles, h)
+			}
+			var torn atomic.Int64
+			var wg sync.WaitGroup
+			writers := 0
+			for i, h := range handles {
+				// Slot 0 and two dynamic handles write; the rest read.
+				writer := i == 0 || i >= threads+dynamic/2
+				if writer {
+					writers++
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for j := 0; j < ops; j++ {
+						if writer {
+							h.Write(0, func(m Accessor) {
+								v := m.Load(x) + 1
+								m.Store(x, v)
+								m.Store(y, v)
+							})
+							continue
+						}
+						h.Read(1, func(m Accessor) {
+							if m.Load(x) != m.Load(y) {
+								torn.Add(1)
+							}
+						})
+					}
+				}()
+			}
+			wg.Wait()
+			if n := torn.Load(); n != 0 {
+				t.Fatalf("%d torn reads", n)
+			}
+			var got uint64
+			handles[0].Read(1, func(m Accessor) { got = m.Load(x) })
+			if want := uint64(writers * ops); got != want {
+				t.Fatalf("counter = %d after %d writes", got, want)
+			}
+		})
+	}
 }
