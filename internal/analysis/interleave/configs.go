@@ -47,11 +47,15 @@ const (
 )
 
 // coreOptions mirrors core.Options for binding; only fields the modeled
-// paths read need values.
+// paths read need values. Tracking holds a core.Tracking value; the zero
+// value is the flag array.
 type coreOptions struct {
-	ReaderSync, JoinWaiters, WriterSync, ReaderHTMFirst bool
-	UseSNZI, UseBravo, AutoSNZI, VersionedSGL           bool
+	ReaderSync, JoinWaiters, WriterSync, ReaderHTMFirst, VersionedSGL bool
+	Tracking                                                          uint64
 }
+
+// trackBravo is core.TrackBravo (the BRAVO backend code).
+const trackBravo = 2
 
 func boolConst(b bool) *absVal { return numVal(Konst(boolTo(b))) }
 func intConst(v int) *absVal   { return numVal(Konst(uint64(int64(v)))) }
@@ -100,9 +104,7 @@ func (b *binder) optsObj() *object {
 		"JoinWaiters":    boolConst(o.JoinWaiters),
 		"WriterSync":     boolConst(o.WriterSync),
 		"ReaderHTMFirst": boolConst(o.ReaderHTMFirst),
-		"UseSNZI":        boolConst(o.UseSNZI),
-		"UseBravo":       boolConst(o.UseBravo),
-		"AutoSNZI":       boolConst(o.AutoSNZI),
+		"Tracking":       numVal(Konst(o.Tracking)),
 		"VersionedSGL":   boolConst(o.VersionedSGL),
 	})
 }
@@ -357,7 +359,7 @@ func buildRSync2R1W(ex *extractor) (*Model, error) {
 }
 
 func buildBravo1R1W(ex *extractor) (*Model, error) {
-	b := &binder{threads: 2, parker: true, bravo: true, opts: coreOptions{UseBravo: true}}
+	b := &binder{threads: 2, parker: true, bravo: true, opts: coreOptions{Tracking: trackBravo}}
 	r0, err := extractThread(ex, b, "R0", readRoot, 0, csReader, 0)
 	if err != nil {
 		return nil, err

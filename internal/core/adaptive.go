@@ -12,7 +12,7 @@ import (
 // Self-tuning reader tracking (the paper's §5 future-work item): Fig. 6
 // shows SNZI tracking wins by up to ~6× for long readers and loses by up to
 // ~6× for short ones, and the authors propose automatically enabling and
-// disabling it. With Options.AutoSNZI the lock measures reader durations
+// disabling it. With TrackAuto the lock measures reader durations
 // and switches the *tracking structure* at runtime, promoting and demoting
 // across all three backends of package readers:
 //
@@ -165,7 +165,7 @@ func (h *handle) maybeSwitchTracking() {
 // desiredBackend maps the reader-duration EMA to a tracking structure,
 // with hysteresis on demotions relative to the current structure.
 func (l *Lock) desiredBackend(cur uint64, ema float64) uint64 {
-	snziAt := float64(l.snziAt)
+	const snziAt = float64(DefaultAutoSNZIThreshold)
 	bravoAt := snziAt / adaptBravoDivisor
 	switch cur {
 	case backendFlags:
@@ -219,16 +219,10 @@ func (h *handle) drainBackend(s uint64) {
 // trackingMode returns the current reader-tracking mode for this lock
 // configuration (static modes never read simulated memory).
 func (l *Lock) trackingMode() uint64 {
-	switch {
-	case l.opts.AutoSNZI:
+	if l.opts.Tracking == TrackAuto {
 		return l.e.Load(l.trackMode)
-	case l.opts.UseBravo:
-		return backendBravo
-	case l.opts.UseSNZI:
-		return backendSNZI
-	default:
-		return backendFlags
 	}
+	return uint64(l.opts.Tracking)
 }
 
 // arriveIn flags the reader in structure s, remembering the structure and
@@ -262,46 +256,20 @@ func (h *handle) departFrom(s uint64) {
 	}
 }
 
-// checkForReadersAdaptive is the commit-time check under AutoSNZI: read the
-// mode (one stable line in the read set) and check the structure(s) it
-// covers.
-func (h *handle) checkForReadersAdaptive(tx env.TxAccessor) {
-	l := h.l
-	m := tx.Load(l.trackMode)
-	h.checkBackend(tx, trackTarget(m))
-	if d, ok := drainingBackend(m); ok {
-		// Transition: readers may still be flagged in the structure
-		// being drained.
-		h.checkBackend(tx, d)
-	}
-}
-
 // checkBackend aborts the writer if structure s holds an active reader.
+// The flag array skips the writer's own slot.
 func (h *handle) checkBackend(tx env.TxAccessor, s uint64) {
+	l := h.l
+	var active bool
 	switch s {
 	case backendSNZI:
-		h.checkIndicator(tx)
+		active = l.indSNZI.Check(tx, -1)
 	case backendBravo:
-		h.checkBravo(tx)
+		active = l.indBravo.Check(tx, -1)
 	default:
-		h.checkFlagArray(tx)
+		active = l.indFlags.Check(tx, h.slot)
 	}
-}
-
-func (h *handle) checkFlagArray(tx env.TxAccessor) {
-	if h.l.indFlags.Check(tx, h.slot) {
-		tx.Abort(env.AbortReader)
-	}
-}
-
-func (h *handle) checkIndicator(tx env.TxAccessor) {
-	if h.l.indSNZI.Check(tx, -1) {
-		tx.Abort(env.AbortReader)
-	}
-}
-
-func (h *handle) checkBravo(tx env.TxAccessor) {
-	if h.l.indBravo.Check(tx, -1) {
+	if active {
 		tx.Abort(env.AbortReader)
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"sprwl/internal/stats"
 )
 
-// autoOpts is AutoSNZI with readers going uninstrumented (and sampled)
-// directly; tests set the lock's snziAt after construction.
+// autoOpts is TrackAuto with readers going uninstrumented (and sampled)
+// directly.
 func autoOpts() Options {
 	o := AutoSNZIOptions()
 	o.ReaderHTMFirst = false
@@ -70,29 +70,16 @@ func TestTrackTargetAndCoverage(t *testing.T) {
 
 // TestAutoSwitchesToSNZIForLongReaders: the sampling thread's long
 // uninstrumented reads must flip tracking to SNZI, and short ones must flip
-// it back. The threshold is calibrated against a measured short-read cost
-// so the test holds under instrumentation overhead (e.g. -race).
+// it back. On the virtual clock a body lasts exactly the cycles it
+// advances, so long reads sit at a fixed multiple of the threshold and
+// short ones at zero whatever the build's overhead (e.g. -race).
 func TestAutoSwitchesToSNZIForLongReaders(t *testing.T) {
-	// Calibrate: how expensive is a trivial read on this build?
-	pl, pe, par, _ := testSetup(t, 2, htm.Config{Threads: 2, Words: 1 << 14}, autoOpts())
-	pl.snziAt = 1 << 62
-	pdata := par.AllocLines(1)
-	ph := pl.NewHandle(0)
-	t0 := pe.Now()
-	const probes = 64
-	for i := 0; i < probes; i++ {
-		ph.Read(0, func(acc memmodel.Accessor) { _ = acc.Load(pdata) })
-	}
-	shortCost := (pe.Now() - t0) / probes
-
-	threshold := shortCost*16 + 4096
-	l, e, ar, _ := testSetup(t, 2, htm.Config{Threads: 2, Words: 1 << 14}, autoOpts())
-	l.snziAt = threshold
+	l, e, ar, vc := testSetupVirtual(t, 2, autoOpts())
 	data := ar.AllocLines(1)
 	h := l.NewHandle(0) // slot 0 runs the controller
 	long := func(acc memmodel.Accessor) {
 		_ = acc.Load(data)
-		time.Sleep(time.Duration(4*threshold) * time.Nanosecond)
+		vc.Advance(4 * DefaultAutoSNZIThreshold)
 	}
 	hang.Guard(t, waitGuard, func() {
 		for i := 0; i < adaptEvery+2; i++ {
@@ -103,8 +90,8 @@ func TestAutoSwitchesToSNZIForLongReaders(t *testing.T) {
 		t.Fatalf("trackMode = %d after long readers, want SNZI (%d)", got, backendSNZI)
 	}
 
-	// And back again for short readers (hysteresis: the calibrated short
-	// cost sits well under threshold/2).
+	// And back again for short readers (hysteresis: their zero-cycle
+	// bodies pull the average well under threshold/2).
 	short := func(acc memmodel.Accessor) { _ = acc.Load(data) }
 	hang.Guard(t, waitGuard, func() {
 		for i := 0; i < 16*adaptEvery; i++ {
@@ -129,8 +116,9 @@ func TestAutoWriterSeesReaderInEitherStructure(t *testing.T) {
 		}
 	}
 	for _, mode := range modes {
+		// One read never reaches the controller, which evaluates
+		// every adaptEvery reads, so the pinned mode stays put.
 		l, e, ar, col := testSetup(t, 2, htm.Config{}, autoOpts())
-		l.snziAt = 1 << 62 // controller never self-triggers
 		data := ar.AllocLines(1)
 		e.Store(l.trackMode, mode)
 
@@ -172,8 +160,7 @@ func TestAutoWriterSeesReaderInEitherStructure(t *testing.T) {
 // core snapshot invariant.
 func TestAutoSnapshotConsistencyUnderSwitching(t *testing.T) {
 	const threads = 4
-	l, e, ar, _ := testSetup(t, threads, htm.Config{Threads: threads, Words: 1 << 14}, autoOpts())
-	l.snziAt = 4000
+	l, _, ar, vc := testSetupVirtual(t, threads, autoOpts())
 	x := ar.AllocLines(1)
 	y := ar.AllocLines(1)
 	var wg sync.WaitGroup
@@ -200,7 +187,7 @@ func TestAutoSnapshotConsistencyUnderSwitching(t *testing.T) {
 							// Alternate long/short phases on
 							// the sampling thread to force
 							// mode churn.
-							time.Sleep(10 * time.Microsecond)
+							vc.Advance(4 * DefaultAutoSNZIThreshold)
 						}
 					})
 				}
@@ -208,11 +195,10 @@ func TestAutoSnapshotConsistencyUnderSwitching(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
-	_ = e
 }
 
-// TestStaticModesIgnoreModeWord: without AutoSNZI the tracking choice is
-// fixed by options, even if the mode word is scribbled on.
+// TestStaticModesIgnoreModeWord: without TrackAuto the tracking choice is
+// fixed by Options.Tracking, even if the mode word is scribbled on.
 func TestStaticModesIgnoreModeWord(t *testing.T) {
 	opts := DefaultOptions()
 	opts.ReaderHTMFirst = false
@@ -224,7 +210,7 @@ func TestStaticModesIgnoreModeWord(t *testing.T) {
 	if got := col.Snapshot().TotalCommits(stats.Reader); got != 1 {
 		t.Fatalf("reads = %d, want 1", got)
 	}
-	if l.z.Query() {
+	if l.indSNZI.Check(e, -1) {
 		t.Fatal("static flag-mode reader left a SNZI arrival behind")
 	}
 }

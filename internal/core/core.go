@@ -18,10 +18,12 @@
 // finish δ cycles after the last active reader) — and the optimizations of
 // §3.4 (readers attempt HTM first, SNZI-based reader tracking, timed reader
 // waits) plus the §3.3 versioned-SGL anti-starvation scheme. Options
-// switches the scheduling schemes, HTM-first readers, the reader-tracking
-// backend and the versioned SGL, which is how the Fig. 5 ablation (NoSched
-// / RWait / RSync / SpRWL) and the Fig. 6 SNZI study are produced; timed
-// reader waits and the paper's 10-attempt budget are always on.
+// switches the scheduling schemes, HTM-first readers, the reader tracking
+// (Options.Tracking: TrackFlags, TrackSNZI, TrackBravo or the self-tuning
+// TrackAuto) and the versioned SGL, which is how the Fig. 5 ablation
+// (NoSched / RWait / RSync / SpRWL) and the Fig. 6 SNZI study are
+// produced; timed reader waits and the paper's 10-attempt budget are
+// always on.
 package core
 
 import (
@@ -74,18 +76,10 @@ type Options struct {
 	// plain lock elision when readers fit in hardware.
 	ReaderHTMFirst bool
 
-	// UseSNZI tracks readers with a Scalable NonZero Indicator instead
-	// of the per-thread state array, making the writer's commit-time
-	// check a single-line read (§3.4, Fig. 6).
-	UseSNZI bool
-
-	// UseBravo tracks readers with a BRAVO-style sharded visible-readers
-	// table (package readers): arrivals hash into cache-line-padded
-	// slots, so the writer's commit-time check scans O(table slots)
-	// lines instead of one word per registered thread, and slot-less
-	// dynamic handles (NewDynamicHandle) become possible. Overrides
-	// UseSNZI.
-	UseBravo bool
+	// Tracking selects the reader-tracking structure the writer's
+	// commit-time check reads: the flag array (the zero value), SNZI,
+	// the BRAVO table, or the §5 self-tuning switch among them.
+	Tracking Tracking
 
 	// BravoSlots overrides the BRAVO table size (rounded to a power of
 	// two in [4, 256]); 0 derives it from runtime.GOMAXPROCS. The
@@ -93,20 +87,29 @@ type Options struct {
 	// the host's core count.
 	BravoSlots int
 
-	// AutoSNZI enables the paper's §5 future-work self-tuning: the lock
-	// measures reader durations and switches reader tracking at runtime
-	// between the flag array (cheapest readers), the BRAVO table
-	// (cheap readers, bounded writer checks, dynamic-safe), and SNZI
-	// (cheapest writer checks), using a transition protocol that keeps
-	// every active reader visible to writers throughout. Overrides
-	// UseBravo and UseSNZI.
-	AutoSNZI bool
-
 	// VersionedSGL enables the §3.3 anti-starvation scheme: the fallback
 	// lock carries a version, and a reader stops deferring to fallback
 	// writers that acquired the lock after the reader started waiting.
 	VersionedSGL bool
 }
+
+// Tracking is the reader-tracking choice. The static values are the
+// backend codes the adaptive mode word holds, so static and adaptive locks
+// share one backend-keyed dispatch.
+type Tracking uint64
+
+// Reader-tracking choices; adaptive.go compares the three backends.
+const (
+	TrackFlags = Tracking(backendFlags) // per-thread flag array (§3.1); no dynamic handles
+	TrackSNZI  = Tracking(backendSNZI)  // SNZI: single-line writer check (§3.4, Fig. 6)
+	TrackBravo = Tracking(backendBravo) // BRAVO table: O(table slots) writer check
+	// TrackAuto is the §5 self-tuning switch among the three backends. It
+	// is not a backend code: the mode word never holds it.
+	TrackAuto Tracking = 3
+)
+
+// hasBravo reports whether the options call for a BRAVO table.
+func (o Options) hasBravo() bool { return o.Tracking == TrackBravo || o.Tracking == TrackAuto }
 
 // DefaultOptions returns the full SpRWL configuration the paper evaluates
 // under the name "SpRWL": both scheduling schemes, HTM-first readers and
@@ -152,7 +155,7 @@ func RSyncOptions() Options {
 // "SNZI" series of Figs. 6 and 7).
 func SNZIOptions() Options {
 	o := DefaultOptions()
-	o.UseSNZI = true
+	o.Tracking = TrackSNZI
 	return o
 }
 
@@ -161,15 +164,15 @@ func SNZIOptions() Options {
 // handles.
 func BravoOptions() Options {
 	o := DefaultOptions()
-	o.UseBravo = true
+	o.Tracking = TrackBravo
 	return o
 }
 
 // AutoSNZIOptions is the §5 self-tuning configuration: reader tracking
-// switches between flags and SNZI based on measured reader durations.
+// switches among flags, BRAVO and SNZI based on measured reader durations.
 func AutoSNZIOptions() Options {
 	o := DefaultOptions()
-	o.AutoSNZI = true
+	o.Tracking = TrackAuto
 	return o
 }
 
@@ -191,12 +194,8 @@ type Lock struct {
 
 	gl        locks.SpinMutex
 	glVer     memmodel.Addr
-	z         *snzi.SNZI
 	trackMode memmodel.Addr // adaptive reader-tracking mode word
 	adapt     adaptState
-	// snziAt is the reader duration (cycles) above which AutoSNZI
-	// selects SNZI tracking; in-package tests lower it.
-	snziAt uint64
 
 	// parker is the environment's sleep/wake primitive (nil = spin-only,
 	// as in the simulator); wakes is the nil-safe wake endpoint the
@@ -205,9 +204,10 @@ type Lock struct {
 	wakes  park.Hub
 
 	// The three reader-indicator backends (package readers). indFlags
-	// wraps the state array and indSNZI wraps z, so the simulated
-	// memory traffic of the classic configurations is unchanged;
-	// indBravo is allocated only when UseBravo or AutoSNZI asks for it.
+	// wraps the state array and indSNZI the lock's SNZI tree, so the
+	// simulated memory traffic of the classic configurations is
+	// unchanged; indBravo is allocated only under TrackBravo or
+	// TrackAuto.
 	indFlags readers.Flags
 	indSNZI  readers.SNZI
 	indBravo *readers.Bravo
@@ -233,7 +233,7 @@ func Words(threads int) int {
 // given options.
 func WordsFor(threads int, opts Options) int {
 	w := Words(threads)
-	if opts.UseBravo || opts.AutoSNZI {
+	if opts.hasBravo() {
 		w += readers.BravoWords(bravoSlotCount(opts))
 	}
 	return w
@@ -263,12 +263,14 @@ func New(e env.Env, ar *memmodel.Arena, threads, numCS int, opts Options, pipe *
 	if threads > e.Threads() {
 		return nil, fmt.Errorf("core: %d threads exceed environment capacity %d", threads, e.Threads())
 	}
+	if opts.Tracking > TrackAuto {
+		return nil, fmt.Errorf("core: unknown Tracking %d", opts.Tracking)
+	}
 	l := &Lock{
 		e:          e,
 		opts:       opts,
 		threads:    threads,
 		est:        ema.NewEstimator(numCS, 0),
-		snziAt:     DefaultAutoSNZIThreshold,
 		pipe:       pipe,
 		state:      ar.AllocWords(threads),
 		clockW:     ar.AllocWords(threads),
@@ -281,14 +283,13 @@ func New(e env.Env, ar *memmodel.Arena, threads, numCS int, opts Options, pipe *
 	l.gl = locks.NewSpinMutex(e, ar.AllocLines(1))
 	l.glVer = ar.AllocLines(1)
 	l.trackMode = ar.AllocLines(1)
-	l.z = snzi.New(e, ar.AllocWords(snzi.Words(threads)), threads)
 	// Indicator backends. Flags and SNZI wrap state the lock already
 	// owns — same words, same access sequences as the classic layout;
 	// the BRAVO table is extra state, allocated after everything else so
 	// configurations without it keep their exact arena layout.
 	l.indFlags = readers.NewFlags(e, l.state, threads)
-	l.indSNZI = readers.NewSNZI(l.z)
-	if l.opts.UseBravo || l.opts.AutoSNZI {
+	l.indSNZI = readers.NewSNZI(snzi.New(e, ar.AllocWords(snzi.Words(threads)), threads))
+	if l.opts.hasBravo() {
 		slots := bravoSlotCount(l.opts)
 		l.opts.BravoSlots = slots
 		l.indBravo = readers.NewBravo(e, ar.AllocWords(readers.BravoWords(slots)), slots)
@@ -307,13 +308,15 @@ func MustNew(e env.Env, ar *memmodel.Arena, threads, numCS int, opts Options, pi
 
 // Name implements rwlock.Lock.
 func (l *Lock) Name() string {
-	switch {
-	case l.opts.AutoSNZI:
+	switch l.opts.Tracking {
+	case TrackAuto:
 		return "SpRWL-Auto"
-	case l.opts.UseBravo:
+	case TrackBravo:
 		return "SpRWL-Bravo"
-	case l.opts.UseSNZI:
+	case TrackSNZI:
 		return "SpRWL-SNZI"
+	}
+	switch {
 	case !l.opts.ReaderSync && !l.opts.WriterSync:
 		return "SpRWL-NoSched"
 	case l.opts.ReaderSync && !l.opts.JoinWaiters && !l.opts.WriterSync:
@@ -369,16 +372,21 @@ var dynSeed atomic.Uint64
 // refinements (HTM-first sections, clock advertisement, §3.3 wait
 // registration, duration sampling) are skipped: they all key on a slot.
 //
-// Requires a dynamic-safe backend: UseBravo, UseSNZI, or AutoSNZI. Under
-// AutoSNZI the first dynamic handle permanently evicts flag-array
-// tracking (the flag array cannot represent slot-less readers); the
-// controller keeps self-tuning between BRAVO and SNZI.
+// Requires a dynamic-safe Tracking: TrackBravo, TrackSNZI or TrackAuto
+// (TrackFlags is an error). Under TrackAuto the first dynamic handle
+// permanently evicts flag-array tracking (the flag array cannot represent
+// slot-less readers); the controller keeps self-tuning between BRAVO and
+// SNZI.
+//
+// A dynamic handle has no observability ring (rings belong to slots), so
+// its sections reach no pipeline: statistics collected through the lock's
+// pipeline count slot-handle sections only.
 func (l *Lock) NewDynamicHandle() (rwlock.Handle, error) {
-	if !l.opts.AutoSNZI && !l.opts.UseBravo && !l.opts.UseSNZI {
-		return nil, errors.New("core: dynamic handles need a dynamic-safe reader backend (UseBravo, UseSNZI or AutoSNZI)")
+	if l.opts.Tracking == TrackFlags {
+		return nil, errors.New("core: dynamic handles need a dynamic-safe reader tracking (TrackBravo, TrackSNZI or TrackAuto)")
 	}
 	h := &handle{l: l, slot: -1, hint: readers.Mix64(dynSeed.Add(1))}
-	if l.opts.AutoSNZI {
+	if l.opts.Tracking == TrackAuto {
 		l.dynReaders.Add(1)
 		// Evict flag-array tracking before this handle's first read,
 		// under the transition lock so a controller switch in flight
@@ -436,7 +444,7 @@ func (l *Lock) readerVerAddr(i int) memmodel.Addr  { return l.readerVer + memmod
 
 // nowIf reads the clock only when used is set, and returns 0 otherwise.
 // It takes the body stamps, whose only consumers are the sampling slot's
-// estimator (§3.2.1) and AutoSNZI's reader-duration controller: every
+// estimator (§3.2.1) and TrackAuto's reader-duration controller: every
 // other slot skips both reads.
 func (l *Lock) nowIf(used bool) uint64 {
 	if used {

@@ -54,6 +54,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(e, ar, 5, 1, DefaultOptions(), nil); err == nil {
 		t.Fatal("New accepted more threads than the environment has slots")
 	}
+	if _, err := New(e, ar, 1, 1, Options{Tracking: TrackAuto + 1}, nil); err == nil {
+		t.Fatal("New accepted an unknown Tracking value")
+	}
 }
 
 func TestVariantNames(t *testing.T) {
@@ -147,7 +150,7 @@ func TestFig2WriterCommitsInHTM(t *testing.T) {
 func TestFig1WriterAbortsOnActiveReader(t *testing.T) {
 	for _, opts := range []Options{NoSchedOptions(), func() Options {
 		o := NoSchedOptions()
-		o.UseSNZI = true
+		o.Tracking = TrackSNZI
 		return o
 	}()} {
 		// Force the long-reader path immediately so the reader parks

@@ -40,9 +40,10 @@ func (h *handle) Read(csID int, body rwlock.Body) {
 	h.flagReaderAndSyncGL(csID)
 
 	// The body is timed only for a consumer: the sampling slot's
-	// estimator (§3.2.1) or AutoSNZI's reader-duration controller.
+	// estimator (§3.2.1) or TrackAuto's reader-duration controller.
+	auto := l.opts.Tracking == TrackAuto
 	sampling := l.est.ShouldSample(h.slot)
-	timed := sampling || l.opts.AutoSNZI
+	timed := sampling || auto
 	bodyStart := l.nowIf(timed)
 	body(l.e)
 	bodyCycles := l.nowIf(timed) - bodyStart
@@ -58,7 +59,7 @@ func (h *handle) Read(csID int, body rwlock.Body) {
 	if sampling {
 		l.est.Sample(csID, bodyCycles)
 	}
-	if l.opts.AutoSNZI {
+	if auto {
 		h.recordReaderDuration(bodyCycles)
 	}
 	h.ring.Section(obs.Reader, csID, env.ModeUninstrumented, start, h.ring.Stamp(l.e))
@@ -254,7 +255,7 @@ func (h *handle) flagReader() {
 	for {
 		target := trackTarget(l.trackingMode())
 		h.arriveIn(target)
-		if !l.opts.AutoSNZI {
+		if l.opts.Tracking != TrackAuto {
 			break
 		}
 		// Re-validate after flagging: the self-tuning controller may

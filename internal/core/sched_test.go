@@ -15,7 +15,7 @@ import (
 // complete by jumping time to their deadline (tsc.Sleeper), so the tests
 // below assert wait targets with exact equality instead of sleeping real
 // milliseconds and allowing scheduler slack.
-func testSetupVirtual(t *testing.T, threads int, opts Options) (*Lock, env.Env, *tsc.Virtual) {
+func testSetupVirtual(t *testing.T, threads int, opts Options) (*Lock, env.Env, *memmodel.Arena, *tsc.Virtual) {
 	t.Helper()
 	space, err := htm.NewSpace(htm.Config{Threads: threads, Words: 1 << 14})
 	if err != nil {
@@ -29,7 +29,7 @@ func testSetupVirtual(t *testing.T, threads int, opts Options) (*Lock, env.Env, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l, e, vc
+	return l, e, ar, vc
 }
 
 // TestReaderTimedWaitUsesWriterClock: with the §3.4 timed wait a deferring
@@ -40,7 +40,7 @@ func testSetupVirtual(t *testing.T, threads int, opts Options) (*Lock, env.Env, 
 func TestReaderTimedWaitUsesWriterClock(t *testing.T) {
 	opts := RSyncOptions()
 	opts.ReaderHTMFirst = false
-	l, e, _ := testSetupVirtual(t, 3, opts)
+	l, e, _, _ := testSetupVirtual(t, 3, opts)
 
 	const writerEnd = 20_000_000
 	e.Store(l.clockWAddr(0), writerEnd)
@@ -75,7 +75,7 @@ func TestReaderTimedWaitUsesWriterClock(t *testing.T) {
 // until exactly the last advertised reader end time minus half the writer's
 // expected duration (target = lastReaderEnd - dur + δ, δ = dur/2).
 func TestWriterWaitTargetsLastReaderEnd(t *testing.T) {
-	l, e, _ := testSetupVirtual(t, 3, DefaultOptions())
+	l, e, _, _ := testSetupVirtual(t, 3, DefaultOptions())
 	h := l.NewHandle(0).(*handle)
 
 	// Teach the estimator a 2M-cycle writer duration for cs 0.
@@ -98,7 +98,7 @@ func TestWriterWaitTargetsLastReaderEnd(t *testing.T) {
 // TestWriterWaitNoActiveReadersReturnsImmediately: with no advertised
 // reader end times the wait is a no-op — zero virtual cycles.
 func TestWriterWaitNoActiveReadersReturnsImmediately(t *testing.T) {
-	l, e, _ := testSetupVirtual(t, 2, DefaultOptions())
+	l, e, _, _ := testSetupVirtual(t, 2, DefaultOptions())
 	h := l.NewHandle(0).(*handle)
 	before := e.Now()
 	h.writerWait(0)

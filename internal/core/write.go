@@ -125,18 +125,21 @@ func (h *handle) finishWrite(csID int, start uint64, mode env.CommitMode) {
 // transaction: abort with the "reader" cause if any uninstrumented reader
 // is active. With SNZI the check is a single-word (single-line) read; with
 // the flag array it reads one word per thread (one line per eight threads),
-// which is the footprint trade-off Fig. 6 measures.
+// which is the footprint trade-off Fig. 6 measures. Under TrackAuto it
+// reads the mode word (one stable line in the read set) and checks the
+// structure(s) it covers.
 func (h *handle) checkForReaders(tx env.TxAccessor) {
 	l := h.l
-	switch {
-	case l.opts.AutoSNZI:
-		h.checkForReadersAdaptive(tx)
-	case l.opts.UseBravo:
-		h.checkBravo(tx)
-	case l.opts.UseSNZI:
-		h.checkIndicator(tx)
-	default:
-		h.checkFlagArray(tx)
+	if l.opts.Tracking != TrackAuto {
+		h.checkBackend(tx, uint64(l.opts.Tracking))
+		return
+	}
+	m := tx.Load(l.trackMode)
+	h.checkBackend(tx, trackTarget(m))
+	if d, ok := drainingBackend(m); ok {
+		// Transition: readers may still be flagged in the structure
+		// being drained.
+		h.checkBackend(tx, d)
 	}
 }
 
@@ -224,19 +227,14 @@ func (h *handle) waitForReaders(csID int) {
 		l.indBravo.Revoke()
 		h.ring.Readers(obs.ReadersRevoked, csID, h.ring.Stamp(l.e))
 	}
-	switch {
-	case l.opts.AutoSNZI:
+	if l.opts.Tracking == TrackAuto {
 		// Adaptive mode: readers may be flagged in any structure (a
 		// tracking transition can be mid-flight).
 		l.indSNZI.Drain(l.e)
 		l.indBravo.Drain(l.e)
 		l.indFlags.Drain(l.e)
-	case l.opts.UseBravo:
-		l.indBravo.Drain(l.e)
-	case l.opts.UseSNZI:
-		l.indSNZI.Drain(l.e)
-	default:
-		l.indFlags.Drain(l.e)
+	} else {
+		h.drainBackend(uint64(l.opts.Tracking))
 	}
 	h.ring.Wait(obs.WaitDrain, obs.Writer, csID, drainStart, h.ring.Stamp(l.e))
 }

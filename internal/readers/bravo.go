@@ -204,6 +204,3 @@ func (b *Bravo) Collisions() uint64 { return b.collisions.Load() }
 
 // Revocations returns how many times Revoke ran.
 func (b *Bravo) Revocations() uint64 { return b.revocations.Load() }
-
-// Dynamic implements Indicator.
-func (b *Bravo) Dynamic() bool { return true }

@@ -13,9 +13,9 @@ const (
 
 // Flags is the paper's per-thread flag array (§3.1): one word per
 // preregistered thread, packed eight to a cache line. It is the only
-// backend that is not Dynamic — an Arrive hint must be the caller's own
-// preassigned slot, and a concurrent Arrive with the same hint would be a
-// lost update.
+// backend that cannot hold dynamic (slot-less) readers — an Arrive hint
+// must be the caller's own preassigned slot, and a concurrent Arrive with
+// the same hint would be a lost update.
 type Flags struct {
 	mem  Memory
 	base memmodel.Addr
@@ -69,6 +69,3 @@ func (f Flags) Drain(y Yielder) {
 		}
 	}
 }
-
-// Dynamic implements Indicator.
-func (f Flags) Dynamic() bool { return false }

@@ -83,10 +83,6 @@ type Indicator interface {
 	// fallback writer holds the global lock, so arriving readers flag,
 	// observe the lock, and retract).
 	Drain(y Yielder)
-
-	// Dynamic reports whether Arrive is safe for arbitrarily many
-	// concurrent readers carrying arbitrary hints.
-	Dynamic() bool
 }
 
 // Mix64 is the splitmix64 finalizer, used to spread arbitrary reader

@@ -21,9 +21,9 @@ var backendAxis = []struct {
 	apply func(*core.Options)
 }{
 	{"flags", func(*core.Options) {}},
-	{"snzi", func(o *core.Options) { o.UseSNZI = true }},
-	{"bravo", func(o *core.Options) { o.UseBravo = true; o.BravoSlots = 8 }},
-	{"auto", func(o *core.Options) { o.AutoSNZI = true }},
+	{"snzi", func(o *core.Options) { o.Tracking = core.TrackSNZI }},
+	{"bravo", func(o *core.Options) { o.Tracking = core.TrackBravo; o.BravoSlots = 8 }},
+	{"auto", func(o *core.Options) { o.Tracking = core.TrackAuto }},
 }
 
 // capacityAxis enumerates the HTM spaces each combination runs in. The

@@ -32,8 +32,8 @@ func parkingVariants() []variant {
 		name  string
 		apply func(*core.Options)
 	}{
-		{"snzi", func(o *core.Options) { o.UseSNZI = true }},
-		{"bravo", func(o *core.Options) { o.UseBravo = true; o.BravoSlots = 4 }},
+		{"snzi", func(o *core.Options) { o.Tracking = core.TrackSNZI }},
+		{"bravo", func(o *core.Options) { o.Tracking = core.TrackBravo; o.BravoSlots = 4 }},
 	} {
 		for _, s := range []struct {
 			name string
@@ -43,7 +43,6 @@ func parkingVariants() []variant {
 			{"full", core.DefaultOptions},
 		} {
 			o := s.base()
-			o.UseSNZI, o.UseBravo, o.AutoSNZI = false, false, false
 			b.apply(&o)
 			vs = append(vs, variant{name: b.name + "/" + s.name + "/park", opts: o, dynamic: true})
 		}

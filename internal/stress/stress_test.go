@@ -84,9 +84,9 @@ func variants() []variant {
 		hold    time.Duration
 	}{
 		{"flags", func(*core.Options) {}, false, 0},
-		{"snzi", func(o *core.Options) { o.UseSNZI = true }, true, 0},
-		{"bravo", func(o *core.Options) { o.UseBravo = true; o.BravoSlots = 4 }, true, 0},
-		{"auto", func(o *core.Options) { o.AutoSNZI = true }, true, 100 * time.Microsecond},
+		{"snzi", func(o *core.Options) { o.Tracking = core.TrackSNZI }, true, 0},
+		{"bravo", func(o *core.Options) { o.Tracking = core.TrackBravo; o.BravoSlots = 4 }, true, 0},
+		{"auto", func(o *core.Options) { o.Tracking = core.TrackAuto }, true, 100 * time.Microsecond},
 	}
 	scheds := []struct {
 		name string
@@ -101,9 +101,6 @@ func variants() []variant {
 	for _, b := range backends {
 		for _, s := range scheds {
 			o := s.base()
-			// The named presets pick their own tracking; reset to the
-			// flag array before applying the backend axis.
-			o.UseSNZI, o.UseBravo, o.AutoSNZI = false, false, false
 			b.apply(&o)
 			vs = append(vs, variant{name: b.name + "/" + s.name, opts: o, dynamic: b.dynamic, hold: b.hold})
 		}

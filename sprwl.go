@@ -45,11 +45,23 @@ type (
 	// Options selects SpRWL's scheduling schemes and optimizations
 	// (§3.2–§3.4 of the paper); see DefaultOptions.
 	Options = core.Options
+	// Tracking is Options.Tracking, the reader-tracking choice.
+	Tracking = core.Tracking
 	// Snapshot is a merged statistics view (commit modes, abort causes,
 	// latencies).
 	Snapshot = stats.Snapshot
 	// Profile describes an emulated machine (capacities, SMT topology).
 	Profile = htm.Profile
+)
+
+// Reader-tracking choices for Options.Tracking: the paper's flag array
+// (§3.1, the zero value), SNZI (§3.4), a BRAVO table, or the §5
+// self-tuning switch among the three.
+const (
+	TrackFlags = core.TrackFlags
+	TrackSNZI  = core.TrackSNZI
+	TrackBravo = core.TrackBravo
+	TrackAuto  = core.TrackAuto
 )
 
 // Re-exported option presets (the paper's named variants).
@@ -94,12 +106,13 @@ type Config struct {
 
 // MinWords returns the address-space words the lock itself needs for a
 // given thread count under the default options; Config.Words must be at
-// least this plus application data. Configurations with a BRAVO table
-// (BravoOptions, AutoSNZIOptions) need MinWordsFor.
+// least this plus application data. Tracking TrackBravo and TrackAuto add
+// a BRAVO table and need MinWordsFor.
 func MinWords(threads int) int { return core.Words(threads) + 2*memmodel.LineWords }
 
 // MinWordsFor is MinWords for an explicit option set, accounting for the
-// BRAVO visible-readers table when the options call for one.
+// BRAVO visible-readers table that Tracking TrackBravo and TrackAuto call
+// for.
 func MinWordsFor(threads int, opts Options) int {
 	return core.WordsFor(threads, opts) + 2*memmodel.LineWords
 }
@@ -173,9 +186,10 @@ func (l *Lock) Handle(slot int) Handle {
 
 // DynamicHandle returns an endpoint for a worker that has no preassigned
 // slot — goroutines may come and go beyond Config.Threads. Dynamic readers
-// register through a slot-free indicator (BRAVO or SNZI), so the options
-// must select one: UseBravo, UseSNZI or AutoSNZI. Dynamic writers always
-// take the pessimistic fallback path.
+// register through a slot-free indicator (BRAVO or SNZI), so
+// Options.Tracking must be TrackBravo, TrackSNZI or TrackAuto; TrackFlags
+// is an error. Dynamic writers always take the pessimistic fallback path.
+// Sections run through a dynamic handle are not counted by Stats.
 func (l *Lock) DynamicHandle() (Handle, error) {
 	h, err := l.lock.NewDynamicHandle()
 	if err != nil {
@@ -185,7 +199,8 @@ func (l *Lock) DynamicHandle() (Handle, error) {
 }
 
 // Stats returns a merged snapshot of commit modes, abort causes and
-// latencies recorded so far.
+// latencies recorded so far, for sections run through slot handles
+// (Handle) only: dynamic handles record no statistics.
 func (l *Lock) Stats() Snapshot { return l.col.Snapshot() }
 
 // Name reports the configured algorithm variant.

@@ -93,10 +93,11 @@ func TestConcurrentUseThroughFacade(t *testing.T) {
 }
 
 // TestDynamicHandle: DynamicHandle needs a slot-free reader indicator, so
-// it fails under DefaultOptions (flag array). Under SNZI and AutoSNZI,
+// it fails under DefaultOptions (TrackFlags). Under TrackSNZI and TrackAuto,
 // dynamic readers and writers, beyond Config.Threads and beside slot
 // handles, keep the root Example's invariant: a writer keeps a counter
-// pair equal and no reader sees it apart.
+// pair equal and no reader sees it apart. Stats counts only the slot
+// handles' sections.
 func TestDynamicHandle(t *testing.T) {
 	if _, err := MustNew(Config{Threads: 2, Words: MinWords(2) + 1024}).DynamicHandle(); err == nil {
 		t.Fatal("DynamicHandle succeeded under DefaultOptions")
@@ -152,6 +153,12 @@ func TestDynamicHandle(t *testing.T) {
 			handles[0].Read(1, func(m Accessor) { got = m.Load(x) })
 			if want := uint64(writers * ops); got != want {
 				t.Fatalf("counter = %d after %d writes", got, want)
+			}
+			// Dynamic handles have no observability ring, so Stats
+			// counts only the slot handles' sections: ops each, plus
+			// the read just above.
+			if got, want := l.Stats().TotalOps(), uint64(threads*ops+1); got != want {
+				t.Fatalf("Stats().TotalOps() = %d, want %d (slot-handle sections only)", got, want)
 			}
 		})
 	}
